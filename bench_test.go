@@ -26,6 +26,7 @@ import (
 	"pckpt/internal/platform"
 	"pckpt/internal/rng"
 	"pckpt/internal/sim"
+	"pckpt/internal/stepsim"
 	"pckpt/internal/workload"
 )
 
@@ -94,7 +95,8 @@ func BenchmarkAnalyticAlphaSigma(b *testing.B) { benchExperiment(b, "analytic", 
 // --- ablations: design choices called out in DESIGN.md -----------------
 
 // BenchmarkAblationSingleRunPerModel times one simulation run of each C/R
-// model on the largest application — the unit cost every experiment pays.
+// model on the largest application — the unit cost every experiment pays
+// — on the step tier, the default sweep path.
 func BenchmarkAblationSingleRunPerModel(b *testing.B) {
 	app, err := workload.ByName("CHIMERA")
 	if err != nil {
@@ -102,10 +104,10 @@ func BenchmarkAblationSingleRunPerModel(b *testing.B) {
 	}
 	for _, m := range crmodel.Models() {
 		b.Run(m.String(), func(b *testing.B) {
-			cfg := crmodel.Config{Model: m, Config: platform.Config{App: app, System: failure.Titan}}
+			cfg := stepsim.Config{Model: m, Config: platform.Config{App: app, System: failure.Titan}}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				crmodel.Simulate(cfg, uint64(i))
+				stepsim.Simulate(cfg, uint64(i))
 			}
 		})
 	}
@@ -130,7 +132,8 @@ func BenchmarkAblationWorkerScaling(b *testing.B) {
 
 // BenchmarkAblationDrainConcurrency quantifies the asynchronous-drain
 // concurrency choice: too few drainers stretch the vulnerable window
-// (Fig. 1 case B) and inflate recomputation.
+// (Fig. 1 case B) and inflate recomputation. Runs on the step tier, the
+// default sweep path.
 func BenchmarkAblationDrainConcurrency(b *testing.B) {
 	app, err := workload.ByName("CHIMERA")
 	if err != nil {
@@ -141,10 +144,10 @@ func BenchmarkAblationDrainConcurrency(b *testing.B) {
 		ioCfg.DrainConcurrency = conc
 		io := iomodel.New(ioCfg)
 		b.Run(fmt.Sprintf("drainers=%d", conc), func(b *testing.B) {
-			cfg := crmodel.Config{Model: crmodel.ModelB, Config: platform.Config{App: app, System: failure.Titan, IO: io}}
+			cfg := stepsim.Config{Model: crmodel.ModelB, Config: platform.Config{App: app, System: failure.Titan, IO: io}}
 			var recompute float64
 			for i := 0; i < b.N; i++ {
-				recompute += crmodel.Simulate(cfg, uint64(i)).Recompute
+				recompute += stepsim.Simulate(cfg, uint64(i)).Recompute
 			}
 			b.ReportMetric(recompute/float64(b.N)/3600, "recompute-h/run")
 		})

@@ -4,9 +4,27 @@
 // pool the resource manager draws replacements from (the paper assumes
 // the recovery rate of failed nodes keeps spares available; the pool
 // makes that assumption checkable).
+//
+// Checkpoint bookkeeping is O(1) per coordinated checkpoint. All nodes
+// save state together, so the cluster keeps one app-wide (progress,
+// generation) pair per tier — burst buffer and PFS — and per-node
+// values only for the nodes that diverge from it: failed and replaced
+// nodes, and nodes that committed or staged a checkpoint of their own
+// (p-ckpt's phase-1 vulnerable-node commits). A node follows the
+// app-wide value of a tier unless its stamp is at least that tier's
+// generation, or it is Failed. RecordBBCheckpointAll and
+// RecordPFSCheckpointAll bump a generation; RecoverableProgress and
+// ClampCheckpoints walk only the short list of diverging nodes.
+//
+// Per-run state is pooled: Release hands a cluster's node array back
+// to New, which resets and reuses it.
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"sync"
+)
 
 // State is a node's health state, following the paper's Fig. 5.
 type State uint8
@@ -38,12 +56,24 @@ func (s State) String() string {
 	}
 }
 
-// Node is one job node's bookkeeping.
+// Node is one job node's bookkeeping. State, PredictedFailAt and
+// Replacements are always current. ID, BBProgress and PFSProgress are
+// filled in by Cluster.Node: the progress fields of a returned *Node are
+// a snapshot, valid until the next Record*CheckpointAll,
+// ClampCheckpoints or Release. Change them through the Record* methods,
+// not through the pointer.
 type Node struct {
 	// ID is the job-local node index.
 	ID int
 	// State is the current health state.
 	State State
+	// listed marks the node's entry in the cluster's diverging list.
+	listed bool
+	// stamp is the cluster's record counter at the node's newest
+	// per-node record. The node owns a tier's progress field while stamp
+	// is at least that tier's generation; otherwise the app-wide value
+	// applies. (Packed next to State so a Node stays 48 bytes.)
+	stamp uint32
 	// PredictedFailAt is the predicted failure time while Vulnerable or
 	// Migrating; zero otherwise.
 	PredictedFailAt float64
@@ -71,21 +101,37 @@ type Cluster struct {
 	spares   int
 	used     int
 	observer Observer
+
+	// gen counts app-wide records; per-node records stamp its value.
+	// It starts at 1 so a zeroed node (stamp 0) follows both tiers.
+	gen uint32
+	// bb and pfs are the app-wide checkpoints of each tier, written at
+	// record counter values bbGen and pfsGen.
+	bb, pfs       float64
+	bbGen, pfsGen uint32
+	// diverging lists, each once, the nodes that may own a progress
+	// field or are Failed; every other node holds the app-wide values.
+	diverging []int
+	released  bool
 }
+
+// pool holds released clusters for New to reuse.
+var pool sync.Pool
 
 // SetObserver installs the state-transition observer (nil to remove).
 func (c *Cluster) SetObserver(o Observer) { c.observer = o }
 
 // setState applies a transition and notifies the observer on change.
-func (c *Cluster) setState(n *Node, to State) {
+func (c *Cluster) setState(id int, n *Node, to State) {
 	from := n.State
 	n.State = to
 	if c.observer != nil && from != to {
-		c.observer(n.ID, from, to)
+		c.observer(id, from, to)
 	}
 }
 
-// New builds a cluster of n job nodes backed by spares reserve nodes.
+// New builds a cluster of n job nodes backed by spares reserve nodes,
+// reusing a released cluster's node array when one is large enough.
 func New(n, spares int) *Cluster {
 	if n <= 0 {
 		panic("cluster: non-positive node count")
@@ -93,24 +139,108 @@ func New(n, spares int) *Cluster {
 	if spares < 0 {
 		panic("cluster: negative spare count")
 	}
-	c := &Cluster{nodes: make([]Node, n), spares: spares}
-	for i := range c.nodes {
-		c.nodes[i].ID = i
-		c.nodes[i].BBProgress = -1
-		c.nodes[i].PFSProgress = -1
+	c, _ := pool.Get().(*Cluster)
+	if c == nil {
+		c = new(Cluster)
+	}
+	nodes := c.nodes
+	if cap(nodes) >= n {
+		nodes = nodes[:n]
+		clear(nodes)
+	} else {
+		nodes = make([]Node, n)
+	}
+	*c = Cluster{
+		nodes:     nodes,
+		spares:    spares,
+		gen:       1,
+		bb:        -1,
+		pfs:       -1,
+		bbGen:     1,
+		pfsGen:    1,
+		diverging: c.diverging[:0],
 	}
 	return c
+}
+
+// Release returns the cluster to the pool New draws from and drops its
+// observer. The cluster must not be used afterwards: call it only once
+// nothing can touch the cluster again — for a simulation, after its
+// engine has drained, since pending callbacks outlive the run's end.
+// Releasing a cluster twice panics.
+func (c *Cluster) Release() {
+	if c.released {
+		panic("cluster: cluster released twice")
+	}
+	c.released = true
+	c.observer = nil
+	pool.Put(c)
 }
 
 // Len returns the job's node count.
 func (c *Cluster) Len() int { return len(c.nodes) }
 
-// Node returns a pointer to node id for inspection and mutation.
-func (c *Cluster) Node(id int) *Node {
+// node returns node id's storage without refreshing its lazy fields.
+func (c *Cluster) node(id int) *Node {
 	if id < 0 || id >= len(c.nodes) {
 		panic(fmt.Sprintf("cluster: node %d out of range [0, %d)", id, len(c.nodes)))
 	}
 	return &c.nodes[id]
+}
+
+// Node returns a pointer to node id with its ID and progress fields
+// brought up to date. State changes go through the Mark*/Fail/Replace
+// methods; the progress fields are a snapshot (see Node).
+func (c *Cluster) Node(id int) *Node {
+	n := c.node(id)
+	n.ID = id
+	n.BBProgress, n.PFSProgress = c.bbOf(n), c.pfsOf(n)
+	return n
+}
+
+// bbOf returns n's current burst-buffer progress: its own field while
+// it is Failed or holds a record at least as new as the app-wide one.
+func (c *Cluster) bbOf(n *Node) float64 {
+	if n.State == Failed || n.stamp >= c.bbGen {
+		return n.BBProgress
+	}
+	return c.bb
+}
+
+// pfsOf is bbOf for the PFS tier.
+func (c *Cluster) pfsOf(n *Node) float64 {
+	if n.State == Failed || n.stamp >= c.pfsGen {
+		return n.PFSProgress
+	}
+	return c.pfs
+}
+
+// pin gives node id its own copy of both tiers' current progress,
+// stamped at the current generation, and lists it as diverging — the
+// step before any per-node record.
+func (c *Cluster) pin(id int, n *Node) {
+	n.BBProgress, n.PFSProgress = c.bbOf(n), c.pfsOf(n)
+	n.stamp = c.gen
+	if !n.listed {
+		n.listed = true
+		c.diverging = append(c.diverging, id)
+	}
+}
+
+// prune drops from the diverging list every node that holds neither
+// tier's field any more (a newer app-wide record covers both) and is
+// not Failed: it follows the app-wide values again.
+func (c *Cluster) prune() {
+	kept := c.diverging[:0]
+	for _, id := range c.diverging {
+		n := &c.nodes[id]
+		if n.State == Failed || n.stamp >= c.bbGen || n.stamp >= c.pfsGen {
+			kept = append(kept, id)
+		} else {
+			n.listed = false
+		}
+	}
+	c.diverging = kept
 }
 
 // SparesLeft returns how many reserve nodes remain.
@@ -124,12 +254,12 @@ func (c *Cluster) SparesLeft() int { return c.spares - c.used }
 // fires for it. Use AbortMigration to tear the migration down first when
 // the superseding prediction should re-queue the node.
 func (c *Cluster) MarkVulnerable(id int, failAt float64) error {
-	n := c.Node(id)
+	n := c.node(id)
 	if n.State == Failed {
 		return fmt.Errorf("cluster: node %d is failed, cannot mark vulnerable", id)
 	}
 	if n.State != Migrating {
-		c.setState(n, Vulnerable)
+		c.setState(id, n, Vulnerable)
 	}
 	n.PredictedFailAt = failAt
 	return nil
@@ -137,11 +267,11 @@ func (c *Cluster) MarkVulnerable(id int, failAt float64) error {
 
 // MarkMigrating transitions a vulnerable node to Migrating.
 func (c *Cluster) MarkMigrating(id int) error {
-	n := c.Node(id)
+	n := c.node(id)
 	if n.State != Vulnerable {
 		return fmt.Errorf("cluster: node %d is %v, cannot start migration", id, n.State)
 	}
-	c.setState(n, Migrating)
+	c.setState(id, n, Migrating)
 	return nil
 }
 
@@ -149,11 +279,11 @@ func (c *Cluster) MarkMigrating(id int) error {
 // Vulnerable with the given predicted failure time (the superseding
 // prediction's deadline), ready to be re-queued by the episode drain.
 func (c *Cluster) AbortMigration(id int, failAt float64) error {
-	n := c.Node(id)
+	n := c.node(id)
 	if n.State != Migrating {
 		return fmt.Errorf("cluster: node %d is %v, no migration to abort", id, n.State)
 	}
-	c.setState(n, Vulnerable)
+	c.setState(id, n, Vulnerable)
 	n.PredictedFailAt = failAt
 	return nil
 }
@@ -161,19 +291,20 @@ func (c *Cluster) AbortMigration(id int, failAt float64) error {
 // MarkHealthy returns a node to Healthy (prediction resolved: the failure
 // was avoided, mitigated, or turned out spurious).
 func (c *Cluster) MarkHealthy(id int) {
-	n := c.Node(id)
+	n := c.node(id)
 	if n.State == Failed {
 		panic(fmt.Sprintf("cluster: node %d is failed; use Replace", id))
 	}
-	c.setState(n, Healthy)
+	c.setState(id, n, Healthy)
 	n.PredictedFailAt = 0
 }
 
 // Fail records a node failure. The node keeps its Failed state until
-// Replace is called.
+// Replace is called, and app-wide records skip it meanwhile.
 func (c *Cluster) Fail(id int) {
-	n := c.Node(id)
-	c.setState(n, Failed)
+	n := c.node(id)
+	c.pin(id, n)
+	c.setState(id, n, Failed)
 	n.PredictedFailAt = 0
 	// The node's burst buffer dies with it: its staged checkpoint is
 	// gone. The PFS copy survives.
@@ -182,9 +313,10 @@ func (c *Cluster) Fail(id int) {
 
 // Replace swaps a failed node for a spare: the logical rank becomes a
 // fresh healthy node with an empty burst buffer. It reports an error when
-// the spare pool is exhausted.
+// the spare pool is exhausted. The node is re-stamped, so the app-wide
+// records it missed while failed never apply to it.
 func (c *Cluster) Replace(id int) error {
-	n := c.Node(id)
+	n := c.node(id)
 	if n.State != Failed {
 		return fmt.Errorf("cluster: node %d is %v, not failed", id, n.State)
 	}
@@ -192,7 +324,8 @@ func (c *Cluster) Replace(id int) error {
 		return fmt.Errorf("cluster: spare pool exhausted replacing node %d", id)
 	}
 	c.used++
-	c.setState(n, Healthy)
+	c.pin(id, n)
+	c.setState(id, n, Healthy)
 	n.Replacements++
 	n.BBProgress = -1
 	return nil
@@ -201,43 +334,60 @@ func (c *Cluster) Replace(id int) error {
 // RecordBBCheckpoint notes that node id staged a checkpoint capturing the
 // given application progress on its burst buffer.
 func (c *Cluster) RecordBBCheckpoint(id int, progress float64) {
-	c.Node(id).BBProgress = progress
+	n := c.node(id)
+	c.pin(id, n)
+	n.BBProgress = progress
 }
 
 // RecordPFSCheckpoint notes that node id committed a checkpoint capturing
 // the given progress to the PFS.
 func (c *Cluster) RecordPFSCheckpoint(id int, progress float64) {
-	c.Node(id).PFSProgress = progress
+	n := c.node(id)
+	c.pin(id, n)
+	n.PFSProgress = progress
 }
 
 // RecordBBCheckpointAll stages a checkpoint on every non-failed node.
+// O(1): it starts a new burst-buffer generation.
 func (c *Cluster) RecordBBCheckpointAll(progress float64) {
-	for i := range c.nodes {
-		if c.nodes[i].State != Failed {
-			c.nodes[i].BBProgress = progress
-		}
-	}
+	c.nextGen()
+	c.bb, c.bbGen = progress, c.gen
 }
 
 // RecordPFSCheckpointAll commits a checkpoint for every non-failed node.
+// O(1): it starts a new PFS generation.
 func (c *Cluster) RecordPFSCheckpointAll(progress float64) {
-	for i := range c.nodes {
-		if c.nodes[i].State != Failed {
-			c.nodes[i].PFSProgress = progress
-		}
+	c.nextGen()
+	c.pfs, c.pfsGen = progress, c.gen
+}
+
+// nextGen advances the record counter. A run records a few thousand
+// app-wide checkpoints, so exhausting the 32-bit counter is a bug.
+func (c *Cluster) nextGen() {
+	if c.gen == math.MaxUint32 {
+		panic("cluster: app-wide record counter exhausted")
 	}
+	c.gen++
 }
 
 // ClampCheckpoints discards every checkpoint record newer than progress,
 // on every node. A degraded-platform restart that found the newer
 // generations corrupt calls this so no later recovery tries them again.
 func (c *Cluster) ClampCheckpoints(progress float64) {
-	for i := range c.nodes {
-		if c.nodes[i].BBProgress > progress {
-			c.nodes[i].BBProgress = progress
+	if c.bb > progress {
+		c.bb = progress
+	}
+	if c.pfs > progress {
+		c.pfs = progress
+	}
+	c.prune()
+	for _, id := range c.diverging {
+		n := &c.nodes[id]
+		if n.BBProgress > progress {
+			n.BBProgress = progress
 		}
-		if c.nodes[i].PFSProgress > progress {
-			c.nodes[i].PFSProgress = progress
+		if n.PFSProgress > progress {
+			n.PFSProgress = progress
 		}
 	}
 }
@@ -283,16 +433,31 @@ func (c *Cluster) CountState(s State) int {
 // The paper's checkpoint model keeps all nodes' checkpoints aligned (all
 // nodes save state together), so in practice the minimum is the last
 // completed coordinated checkpoint that also finished draining for the
-// failed node.
+// failed node. Only the diverging nodes are visited; the rest hold the
+// app-wide values and enter the minimum once.
 func (c *Cluster) RecoverableProgress(failedID int) float64 {
-	min := c.Node(failedID).PFSProgress
-	for i := range c.nodes {
-		if i == failedID {
+	min := c.pfsOf(c.node(failedID))
+	c.prune()
+	// others counts the nodes besides failedID not on the list.
+	others := len(c.nodes) - 1
+	for _, id := range c.diverging {
+		if id == failedID {
 			continue
 		}
-		p := c.nodes[i].BBProgress
-		if c.nodes[i].PFSProgress > p {
-			p = c.nodes[i].PFSProgress
+		others--
+		n := &c.nodes[id]
+		p := c.bbOf(n)
+		if q := c.pfsOf(n); q > p {
+			p = q
+		}
+		if p < min {
+			min = p
+		}
+	}
+	if others > 0 {
+		p := c.bb
+		if c.pfs > p {
+			p = c.pfs
 		}
 		if p < min {
 			min = p

@@ -118,6 +118,7 @@ func Simulate(cfg Config, seed uint64) stats.RunResult {
 	a.env.Spawn("injector", a.inject)
 	a.env.RunAll()
 	a.env.Release()
+	a.cl.Release()
 	return a.res
 }
 

@@ -233,6 +233,10 @@ func Simulate(cfg Config, seed uint64) Result {
 	})
 
 	tenants := make([]tenantState, len(cfg.Jobs))
+	// started holds every app handle ever started — crashed and
+	// re-admitted runs included — for release once the engine drains:
+	// an aborted tenant's pending callbacks still touch its state.
+	started := make([]*stepsim.AppHandle, 0, len(cfg.Jobs))
 	var m struct {
 		queue     []PendingJob
 		freeNodes int
@@ -281,6 +285,7 @@ func Simulate(cfg Config, seed uint64) Result {
 					tryAdmit()
 				},
 			})
+			started = append(started, ten.handle)
 		}
 	}
 	for i, j := range cfg.Jobs {
@@ -306,6 +311,9 @@ func Simulate(cfg Config, seed uint64) Result {
 	}
 	eng.RunAll()
 	eng.Release()
+	for _, h := range started {
+		h.Release()
+	}
 	// Makespan is the last departure, not the engine clock: the failure
 	// streams park wake-events past each app's completion.
 	for i := range res.Jobs {

@@ -211,6 +211,7 @@ func Simulate(cfg Config, seed uint64) stats.RunResult {
 	h := StartApp(eng, cfg, seed, AppOptions{})
 	eng.RunAll()
 	eng.Release()
+	h.Release()
 	return h.Result()
 }
 
@@ -237,6 +238,18 @@ func (h *AppHandle) Done() bool { return h.a.appDone }
 
 // Result returns the run's accounting; meaningful once Done.
 func (h *AppHandle) Result() stats.RunResult { return h.a.res }
+
+// Release returns the app's per-run cluster state to its pool. Call it
+// once the engine has drained, not when the app finishes or is aborted:
+// pending callbacks (a vulnerable-mark clear, a migration completion)
+// still touch the cluster after the run ends. Result stays valid; a
+// second Release is a no-op.
+func (h *AppHandle) Release() {
+	if h.a.cl != nil {
+		h.a.cl.Release()
+		h.a.cl = nil
+	}
+}
 
 // Abort kills a running application mid-flight — the machine layer's
 // tenant-crash hook. The pending wake is cancelled, every arbitered
