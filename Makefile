@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test race vet fmt-check errcheck crossval golden golden-degraded golden-scenario golden-contention golden-machine-degraded golden-update spec-validate cachepass race-machine bench bench-step bench-step-smoke bench-smoke ci
+.PHONY: build test race vet fmt-check errcheck crossval golden golden-degraded golden-scenario golden-contention golden-machine-degraded golden-update spec-validate cachepass race-machine perfbench-test bench bench-step bench-step-smoke bench-smoke ci
 
 build:
 	$(GO) build ./...
@@ -124,6 +124,13 @@ bench-smoke:
 race-machine:
 	$(GO) test -race -timeout 30m -count=1 ./internal/machine
 
+# perfbench-test vets and tests the benchmark harness. perfbench is its
+# own module (it replaces pckpt with the parent directory), so the root
+# `go build ./...` and `go test ./...` skip it even though it imports
+# the simulator's APIs; this target keeps those imports compiling.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
 # errcheck flags discarded results (a bare `p.Wait(d)` or `s.Validate()`
 # statement) in non-test code — the class of bug vet misses.
 errcheck:
@@ -141,8 +148,9 @@ errcheck:
 # a focused race pass over the shared-machine arbiter/admission layer,
 # the golden-table regression suite plus explicit degraded-platform,
 # scenario, contention, and machine-degraded golden gates, the
-# cold-then-warm cache pass, and one-iteration smoke runs of the full
-# benchmark suite and the step-vs-process headroom pairs.
+# cold-then-warm cache pass, the perfbench module's vet and tests, and
+# one-iteration smoke runs of the full benchmark suite and the
+# step-vs-process headroom pairs.
 ci:
 	$(MAKE) fmt-check
 	$(GO) vet ./...
@@ -159,5 +167,6 @@ ci:
 	$(MAKE) golden-contention
 	$(MAKE) golden-machine-degraded
 	$(MAKE) cachepass
+	$(MAKE) perfbench-test
 	$(MAKE) bench-smoke
 	$(MAKE) bench-step-smoke

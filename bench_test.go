@@ -114,17 +114,18 @@ func BenchmarkAblationSingleRunPerModel(b *testing.B) {
 }
 
 // BenchmarkAblationWorkerScaling measures the parallel runner's scaling
-// across worker counts (the runs-in-parallel design decision).
+// across worker counts (the runs-in-parallel design decision) on the
+// step tier, the sweep path.
 func BenchmarkAblationWorkerScaling(b *testing.B) {
 	app, err := workload.ByName("XGC")
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := crmodel.Config{Model: crmodel.ModelP2, Config: platform.Config{App: app, System: failure.Titan}}
+	plat := platform.Config{App: app, System: failure.Titan}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				crmodel.SimulateNWorkers(cfg, 32, uint64(i), workers)
+				experiments.SimulateTierN(experiments.StepTier(), crmodel.ModelP2, plat, 32, uint64(i), workers)
 			}
 		})
 	}

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pckpt/internal/metrics"
 )
 
 // TestMain doubles the test binary as the pckpt-sim CLI: when re-exec'd
@@ -48,8 +51,8 @@ func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
 
 const specPath = "../../examples/scenarios/chimera-titan.json"
 
-// TestCLIDefaultTierIsStep: with no -tier, a p-ckpt model runs on the
-// step tier — the default sweep path since the episode port.
+// TestCLIDefaultTierIsStep: a p-ckpt model runs on the step tier — the
+// only engine the CLI drives since the episode port.
 func TestCLIDefaultTierIsStep(t *testing.T) {
 	stdout, stderr, code := runCLI(t, "-model", "P1", "-runs", "2", "-baseline=false")
 	if code != 0 {
@@ -63,7 +66,7 @@ func TestCLIDefaultTierIsStep(t *testing.T) {
 // TestCLIStepTraceEpisodeModel: -trace works on the step tier for an
 // episode model (the path Validate used to reject).
 func TestCLIStepTraceEpisodeModel(t *testing.T) {
-	stdout, stderr, code := runCLI(t, "-tier", "step", "-model", "P2", "-runs", "1", "-baseline=false", "-trace")
+	stdout, stderr, code := runCLI(t, "-model", "P2", "-runs", "1", "-baseline=false", "-trace")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr)
 	}
@@ -72,48 +75,39 @@ func TestCLIStepTraceEpisodeModel(t *testing.T) {
 	}
 }
 
-// TestCLIMetricsImpliesAppTier: -metrics without an explicit -tier must
-// bend the step-tier default to the app tier (the only metered engine)
-// instead of erroring.
-func TestCLIMetricsImpliesAppTier(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "m.json")
-	stdout, stderr, code := runCLI(t, "-model", "P1", "-runs", "2", "-baseline=false", "-metrics", "-metrics-out", out)
+// TestCLIMetricsDefaultPath: -metrics meters the default step-tier run
+// — no tier switch, no refusal — writes a snapshot under the shared
+// sim.<model>.* series, and leaves the overhead table exactly as the
+// unmetered run prints it (metering appends its summary after).
+func TestCLIMetricsDefaultPath(t *testing.T) {
+	args := []string{"-app", "POP", "-model", "P1", "-runs", "4", "-baseline=false"}
+	plain, stderr, code := runCLI(t, args...)
 	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr)
+		t.Fatalf("unmetered: exit %d, stderr: %s", code, stderr)
 	}
-	if !strings.Contains(stdout, "(app tier") {
-		t.Errorf("-metrics did not imply the app tier:\n%s", stdout)
+	out := filepath.Join(t.TempDir(), "m.json")
+	metered, stderr, code := runCLI(t, append(args, "-metrics", "-metrics-out", out)...)
+	if code != 0 {
+		t.Fatalf("metered: exit %d, stderr: %s", code, stderr)
 	}
-	if _, err := os.Stat(out); err != nil {
-		t.Errorf("metrics snapshot not written: %v", err)
+	if !strings.HasPrefix(metered, plain) {
+		t.Errorf("metered run printed a different overhead table:\n--- unmetered\n%s\n--- metered\n%s", plain, metered)
 	}
-}
-
-// TestCLIMetricsExplicitStepTierErrors: an explicit non-app tier with
-// -metrics is a contradiction the CLI must refuse, not silently bend.
-func TestCLIMetricsExplicitStepTierErrors(t *testing.T) {
-	_, stderr, code := runCLI(t, "-tier", "step", "-model", "P1", "-runs", "2", "-metrics")
-	if code != 2 || !strings.Contains(stderr, "app-tier only") {
-		t.Errorf("exit %d, stderr %q; want exit 2 with app-tier-only error", code, stderr)
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatalf("metrics snapshot not written: %v", err)
 	}
-}
-
-// TestCLITierGuards: unsupported model × tier combinations and unknown
-// tier names exit with context.
-func TestCLITierGuards(t *testing.T) {
-	_, stderr, code := runCLI(t, "-tier", "node", "-model", "M1", "-runs", "1")
-	if code != 2 || !strings.Contains(stderr, "does not implement") {
-		t.Errorf("node×M1: exit %d, stderr %q; want unsupported-model error", code, stderr)
+	var snap metrics.Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatalf("metrics snapshot unreadable: %v", err)
 	}
-	_, stderr, code = runCLI(t, "-tier", "bogus", "-model", "B", "-runs", "1")
-	if code != 2 || !strings.Contains(stderr, "unknown tier") {
-		t.Errorf("bogus tier: exit %d, stderr %q; want unknown-tier error", code, stderr)
+	if snap.Histograms["sim.P1.bb_write_seconds"].Count == 0 {
+		t.Errorf("snapshot lacks sim.P1.* series: %d histograms", len(snap.Histograms))
 	}
 }
 
-// TestCLISpecRunsOnStepTier: spec mode under the step-tier default runs
-// the full grid; the node tier is refused (spec cache entries are
-// tier-agnostic, so only bit-identical tiers may fill them).
+// TestCLISpecRunsOnStepTier: spec mode runs the full grid on the step
+// tier.
 func TestCLISpecRunsOnStepTier(t *testing.T) {
 	stdout, stderr, code := runCLI(t, "-spec", specPath, "-runs", "2")
 	if code != 0 {
@@ -121,10 +115,6 @@ func TestCLISpecRunsOnStepTier(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "2 configurations (2 runs each") {
 		t.Errorf("spec grid header missing:\n%s", stdout)
-	}
-	_, stderr, code = runCLI(t, "-spec", specPath, "-tier", "node", "-runs", "2")
-	if code != 2 || !strings.Contains(stderr, "bit-identical") {
-		t.Errorf("node-tier spec: exit %d, stderr %q; want bit-identity refusal", code, stderr)
 	}
 }
 

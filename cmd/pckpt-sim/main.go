@@ -6,12 +6,11 @@
 //
 //	pckpt-sim -app CHIMERA -model P2 -runs 500
 //	pckpt-sim -app XGC -model M2 -system "LANL System 18" -lead-scale 0.5
-//	pckpt-sim -app CHIMERA -model M2 -tier app
+//	pckpt-sim -app CHIMERA -model P1 -metrics -metrics-out p1.json
 //
-// Runs default to the step tier — bit-identical to the app tier on
-// every model, an order of magnitude faster. -tier selects another
-// registered tier; -metrics implies the app tier (the only metered
-// engine) unless -tier was set explicitly.
+// Runs execute on the step tier — bit-identical to the app-level
+// reference on every model, an order of magnitude faster — metered or
+// not.
 package main
 
 import (
@@ -20,7 +19,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	"pckpt/internal/crmodel"
 	"pckpt/internal/experiments"
@@ -42,7 +40,6 @@ func main() {
 		cacheDir  = flag.String("cache", "", "runcache directory for -spec mode: cells resolve from the cache when present and are flushed to it when simulated")
 		appName   = flag.String("app", "CHIMERA", "application from the Table I catalogue")
 		modelName = flag.String("model", "P2", "C/R model: B, M1, M2, P1, P2")
-		tierName  = flag.String("tier", "step", "simulation tier: "+strings.Join(experiments.TierNames(), ", ")+" (see DESIGN.md; -metrics implies app unless -tier is explicit)")
 		sysName   = flag.String("system", "OLCF Titan", "failure distribution from the Table III catalogue")
 		runs      = flag.Int("runs", 200, "simulation runs to average")
 		seed      = flag.Uint64("seed", 42, "base RNG seed")
@@ -90,15 +87,10 @@ func main() {
 	}
 	defer writeMemProfile(*memProfile)
 
-	tier, ok := experiments.TierByName(*tierName)
-	if !ok {
-		exitOn(fmt.Errorf("pckpt-sim: unknown tier %q (have %s)", *tierName, strings.Join(experiments.TierNames(), ", ")))
-	}
-
 	if *specPath != "" {
 		// Spec mode: the spec declares everything; explicitly set flags
 		// override its numeric plan, conflicting selectors error out.
-		exitOn(runSpec(*specPath, *cacheDir, tier, specOverrides{
+		exitOn(runSpec(*specPath, *cacheDir, specOverrides{
 			set:        set,
 			model:      *modelName,
 			runs:       *runs,
@@ -142,17 +134,6 @@ func main() {
 	exitOn(err)
 	sys, err := failure.SystemByName(*sysName)
 	exitOn(err)
-	if *meter && !set["tier"] {
-		// -metrics is app-tier only; an implicit tier choice bends to it
-		// rather than erroring under the step-tier default.
-		tier, _ = experiments.TierByName("app")
-	}
-	if !tier.Supports(model) {
-		exitOn(fmt.Errorf("pckpt-sim: the %s tier does not implement model %s", tier.Name, model))
-	}
-	if *meter && tier.Name != "app" {
-		exitOn(fmt.Errorf("pckpt-sim: -metrics is app-tier only (the tier runner is unmetered); use -tier app or drop -tier"))
-	}
 
 	cfg := crmodel.Config{
 		Model: model,
@@ -176,33 +157,22 @@ func main() {
 	}
 	exitOn(cfg.Validate())
 
+	tier := experiments.StepTier()
 	fmt.Printf("%s on %s under %s (%s tier, %d runs, seed %d)\n", model, app, sys.Name, tier.Name, *runs, *seed)
 	fmt.Printf("θ = %.2f s, σ = %.3f, per-node checkpoint = %.2f GB\n\n", cfg.Theta(), cfg.Sigma(), app.PerNodeGB())
 
 	var snap *metrics.Snapshot
 	var agg *stats.Agg
 	if *meter {
-		agg, snap = crmodel.SimulateNMetered(cfg, *runs, *seed, runtime.GOMAXPROCS(0))
+		agg, snap = experiments.SimulateMeteredN(model, cfg.Config, *runs, *seed, runtime.GOMAXPROCS(0))
 	} else {
-		// All tiers route through the shared tier runner: identical seed
-		// sequences, so switching -tier changes the engine, not the
-		// experiment (and for -tier step, not even the bits).
 		agg = experiments.SimulateTierN(tier, model, cfg.Config, *runs, *seed, runtime.GOMAXPROCS(0))
 	}
 	mo := agg.MeanOverheads()
 
 	if *showTrace {
 		var buf trace.Buffer
-		switch tier.Name {
-		case "app":
-			tcfg := cfg
-			tcfg.Trace = &buf
-			crmodel.Simulate(tcfg, *seed)
-		case "step":
-			stepsim.Simulate(stepsim.Config{Model: model, Config: cfg.Config, Trace: &buf}, *seed)
-		default:
-			exitOn(fmt.Errorf("pckpt-sim: -trace supports the app and step tiers, not %s", tier.Name))
-		}
+		stepsim.Simulate(stepsim.Config{Model: model, Config: cfg.Config, Trace: &buf}, *seed)
 		fmt.Println("single-run timeline (seed", *seed, "):")
 		fmt.Println(buf.Gantt(100))
 		fmt.Println()
@@ -232,8 +202,6 @@ func main() {
 	}
 
 	if *baseline && model != crmodel.ModelB {
-		// Every tier implements model B, so the reduction is computed
-		// within the selected tier.
 		base := experiments.SimulateTierN(tier, crmodel.ModelB, cfg.Config, *runs, *seed, runtime.GOMAXPROCS(0)).MeanOverheads()
 		ck, rc, rv, tot := stats.ReductionBreakdown(base, mo)
 		fmt.Printf("vs base model B: checkpoint %s, recomputation %s, recovery %s, TOTAL %s\n",

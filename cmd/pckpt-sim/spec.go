@@ -127,17 +127,12 @@ var machineFlags = []string{
 // simulates with the spec's run/seed plan (matching the flag path's seed
 // usage exactly, so a spec mirroring a flag invocation is bit-identical
 // to it), optionally resolving cells from a runcache directory first.
-// Cells run on the selected tier — the step tier by default — which
-// must be bit-identical to the reference: cache keys are tier-agnostic,
-// so a cached cell must not depend on which tier produced it.
-func runSpec(path, cacheDir string, tier experiments.Tier, ov specOverrides) error {
+// Cells run on the step tier, audited against the app-level reference.
+func runSpec(path, cacheDir string, ov specOverrides) error {
 	for _, name := range specConflicts {
 		if ov.set[name] {
 			return fmt.Errorf("pckpt-sim: -%s conflicts with -spec: the spec declares the cohort, failure source, and output plan; override its numbers with -runs/-seed/-model/-lead-scale/-fn/-fp/-alpha/-inject-*", name)
 		}
-	}
-	if !tier.BitIdentical {
-		return fmt.Errorf("pckpt-sim: spec cells require a tier bit-identical to the reference; the %s tier is not (use -tier app or the default)", tier.Name)
 	}
 	s, err := scenario.Load(path)
 	if err != nil {
@@ -176,7 +171,7 @@ func runSpec(path, cacheDir string, tier experiments.Tier, ov specOverrides) err
 	baseline := map[string]stats.Overheads{}
 	aggs := make([]*stats.Agg, len(cfgs))
 	for i, rc := range cfgs {
-		agg, err := runSpecCell(s, rc, tier, store)
+		agg, err := runSpecCell(s, rc, store)
 		if err != nil {
 			return err
 		}
@@ -294,9 +289,9 @@ func runMachineSpec(s *scenario.Spec, cacheDir string) error {
 // simulation otherwise. The cell uses the spec's base seed directly for
 // every configuration — the same contract as the flag mode, where the
 // model run and its B baseline share -seed. Simulation runs through the
-// sweep runner: the selected tier does the work and the app tier rides
+// sweep runner: the step tier does the work and the app tier rides
 // along as a sampled bit-identity cross-check.
-func runSpecCell(s *scenario.Spec, rc scenario.RunConfig, tier experiments.Tier, store *runcache.Store) (*stats.Agg, error) {
+func runSpecCell(s *scenario.Spec, rc scenario.RunConfig, store *runcache.Store) (*stats.Agg, error) {
 	key := runcache.Key{
 		Experiment:  "pckpt-sim",
 		Label:       s.Name + "|" + rc.Label,
@@ -311,7 +306,7 @@ func runSpecCell(s *scenario.Spec, rc scenario.RunConfig, tier experiments.Tier,
 			return agg, nil
 		}
 	}
-	agg := experiments.SimulateSweepN(tier, rc.Policy, rc.Platform, s.Runs, s.Seed,
+	agg := experiments.SimulateSweepN(experiments.StepTier(), rc.Policy, rc.Platform, s.Runs, s.Seed,
 		runtime.GOMAXPROCS(0), experiments.DefaultCrossCheckStride)
 	if store != nil {
 		if err := store.Put(key, agg, nil); err != nil {

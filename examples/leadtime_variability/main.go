@@ -12,8 +12,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"runtime"
 
 	"pckpt/internal/crmodel"
+	"pckpt/internal/experiments"
 	"pckpt/internal/failure"
 	"pckpt/internal/platform"
 	"pckpt/internal/stats"
@@ -32,7 +34,8 @@ func main() {
 	}
 
 	const seed = 7
-	base := crmodel.SimulateN(crmodel.Config{Model: crmodel.ModelB, Config: platform.Config{App: app, System: failure.Titan}}, *runs, seed)
+	step, workers := experiments.StepTier(), runtime.GOMAXPROCS(0)
+	base := experiments.SimulateTierN(step, crmodel.ModelB, platform.Config{App: app, System: failure.Titan}, *runs, seed, workers)
 	baseTotal := base.MeanOverheads().Total()
 	fmt.Printf("%s under Titan failures: base model total overhead %s\n\n", app.Name, tablefmt.Hours(baseTotal))
 
@@ -42,8 +45,8 @@ func main() {
 		row := []string{fmt.Sprintf("%+.0f%%", (scale-1)*100)}
 		best, bestRed := "", -1e18
 		for _, m := range models {
-			cfg := crmodel.Config{Model: m, Config: platform.Config{App: app, System: failure.Titan, LeadScale: scale}}
-			agg := crmodel.SimulateN(cfg, *runs, seed)
+			plat := platform.Config{App: app, System: failure.Titan, LeadScale: scale}
+			agg := experiments.SimulateTierN(step, m, plat, *runs, seed, workers)
 			red := stats.PercentReduction(baseTotal, agg.MeanOverheads().Total())
 			row = append(row, tablefmt.Percent(red))
 			if red > bestRed {

@@ -12,9 +12,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"runtime"
 
 	"pckpt/internal/analytic"
 	"pckpt/internal/crmodel"
+	"pckpt/internal/experiments"
 	"pckpt/internal/failure"
 	"pckpt/internal/lm"
 	"pckpt/internal/platform"
@@ -42,14 +44,16 @@ func main() {
 	flag.Parse()
 
 	sys := failure.Titan
+	step, workers := experiments.StepTier(), runtime.GOMAXPROCS(0)
 	t := tablefmt.NewTable("App", "recommended", "P1 red.", "P2 red.", "simulated best", "Eq.(8) verdict (α=3)")
 	for _, app := range workload.Summit() {
 		rec := recommend(app, sys)
-		base := crmodel.SimulateN(crmodel.Config{Model: crmodel.ModelB, Config: platform.Config{App: app, System: sys}}, *runs, 3)
+		plat := platform.Config{App: app, System: sys}
+		base := experiments.SimulateTierN(step, crmodel.ModelB, plat, *runs, 3, workers)
 		baseTotal := base.MeanOverheads().Total()
 		reds := map[crmodel.Model]float64{}
 		for _, m := range []crmodel.Model{crmodel.ModelP1, crmodel.ModelP2} {
-			agg := crmodel.SimulateN(crmodel.Config{Model: m, Config: platform.Config{App: app, System: sys}}, *runs, 3)
+			agg := experiments.SimulateTierN(step, m, plat, *runs, 3, workers)
 			reds[m] = stats.PercentReduction(baseTotal, agg.MeanOverheads().Total())
 		}
 		best := crmodel.ModelP1
@@ -57,7 +61,7 @@ func main() {
 			best = crmodel.ModelP2
 		}
 		// The Eq. (8) view: does p-ckpt beat pure LM at the default α?
-		sigma := (crmodel.Config{Model: crmodel.ModelP2, Config: platform.Config{App: app, System: sys}}).Sigma()
+		sigma := (crmodel.Config{Model: crmodel.ModelP2, Config: plat}).Sigma()
 		if sigma >= analytic.SigmaMax {
 			sigma = analytic.SigmaMax - 1e-9
 		}

@@ -1,74 +1,6 @@
 package crmodel
 
-import (
-	"pckpt/internal/cluster"
-	"pckpt/internal/metrics"
-)
-
-// runMetrics is one run's instrument handles, resolved once at Simulate
-// start. With metering off every handle is nil and every call below is a
-// no-op that allocates nothing (the same contract as trace.Recorder); an
-// AllocsPerRun test guards that.
-//
-// Metric names are prefixed "sim.<model>." so aggregating across the
-// five C/R models in one experiment keeps their distributions apart.
-type runMetrics struct {
-	// bbWrite is the wall span the application is blocked per completed
-	// periodic BB checkpoint (interleaved proactive handling included).
-	bbWrite *metrics.Histogram
-	// episodeDur / commitLat cover p-ckpt episodes: total blocked span
-	// per completed episode, and per-vulnerable-node commit latency from
-	// episode start to the node's prioritized PFS commit; episodeWidth is
-	// the vulnerable+migrating population each episode opens against.
-	episodeDur   *metrics.Histogram
-	commitLat    *metrics.Histogram
-	episodeWidth *metrics.Histogram
-	// safeguardDur is the blocked span per completed M1 safeguard.
-	safeguardDur *metrics.Histogram
-	// recoveryDur is the restart latency per failure (all retries until a
-	// recovery completes); recomputeLoss is the progress rolled back.
-	recoveryDur   *metrics.Histogram
-	recomputeLoss *metrics.Histogram
-	// pfsGBs is the effective aggregate PFS bandwidth drawn per
-	// collective transfer (phase-2 commits, safeguards, PFS recoveries).
-	pfsGBs *metrics.Histogram
-	// leadConsumed / leadMargin split each mitigated prediction's lead
-	// time into the part spent reaching safety and the part left over.
-	leadConsumed *metrics.Histogram
-	leadMargin   *metrics.Histogram
-	// drainDepth tracks in-flight BB→PFS drains over sim time; vulnNodes
-	// tracks the vulnerable+migrating population.
-	drainDepth *metrics.Gauge
-	vulnNodes  *metrics.Gauge
-	// bbAborted counts periodic checkpoints voided by failures;
-	// episodesAbandoned counts p-ckpt episodes cut short the same way.
-	bbAborted         *metrics.Counter
-	episodesAbandoned *metrics.Counter
-}
-
-// newRunMetrics resolves the handle set against r (all nil when r is nil).
-func newRunMetrics(r *metrics.Registry, m Model) runMetrics {
-	if r == nil {
-		return runMetrics{}
-	}
-	p := "sim." + m.String() + "."
-	return runMetrics{
-		bbWrite:           r.Histogram(p + "bb_write_seconds"),
-		episodeDur:        r.Histogram(p + "episode_seconds"),
-		commitLat:         r.Histogram(p + "episode_commit_latency_seconds"),
-		episodeWidth:      r.Histogram(p + "episode_width_nodes"),
-		safeguardDur:      r.Histogram(p + "safeguard_seconds"),
-		recoveryDur:       r.Histogram(p + "recovery_seconds"),
-		recomputeLoss:     r.Histogram(p + "recompute_loss_seconds"),
-		pfsGBs:            r.Histogram(p + "pfs_effective_gbps"),
-		leadConsumed:      r.Histogram(p + "lead_consumed_seconds"),
-		leadMargin:        r.Histogram(p + "lead_margin_seconds"),
-		drainDepth:        r.Gauge(p + "drain_queue_depth"),
-		vulnNodes:         r.Gauge(p + "vulnerable_nodes"),
-		bbAborted:         r.Counter(p + "bb_writes_aborted"),
-		episodesAbandoned: r.Counter(p + "episodes_abandoned"),
-	}
-}
+import "pckpt/internal/cluster"
 
 // observeCluster installs a cluster observer maintaining the
 // vulnerable-node population gauge. Only called when metering is on, so
@@ -86,6 +18,6 @@ func (a *appSim) observeCluster() {
 		if counted(to) {
 			vuln++
 		}
-		a.met.vulnNodes.Set(a.env.Now(), float64(vuln))
+		a.met.VulnNodes.Set(a.env.Now(), float64(vuln))
 	})
 }

@@ -3,8 +3,6 @@ package crmodel
 import (
 	"testing"
 
-	"pckpt/internal/failure"
-	"pckpt/internal/platform"
 	"pckpt/internal/trace"
 )
 
@@ -15,57 +13,16 @@ func TestUnmeteredHotPathZeroAllocs(t *testing.T) {
 	a := &appSim{} // zero value: cfg.Trace nil, every met handle nil
 	allocs := testing.AllocsPerRun(1000, func() {
 		a.trace(trace.BBWrite, -1, "")
-		a.met.bbWrite.Observe(135.5)
-		a.met.commitLat.Observe(2.25)
-		a.met.pfsGBs.Observe(2400)
-		a.met.leadConsumed.Observe(21)
-		a.met.drainDepth.Set(10, 1)
-		a.met.vulnNodes.Set(10, 2)
-		a.met.bbAborted.Inc()
-		a.met.episodesAbandoned.Inc()
+		a.met.BBWrite.Observe(135.5)
+		a.met.CommitLat.Observe(2.25)
+		a.met.PFSGBs.Observe(2400)
+		a.met.LeadConsumed.Observe(21)
+		a.met.DrainDepth.Set(10, 1)
+		a.met.VulnNodes.Set(10, 2)
+		a.met.BBAborted.Inc()
+		a.met.EpisodesAbandoned.Inc()
 	})
 	if allocs != 0 {
 		t.Fatalf("unmetered instrumentation sites allocate %.1f per cycle, want 0", allocs)
-	}
-}
-
-func TestSimulateNMeteredMatchesUnmetered(t *testing.T) {
-	cfg := Config{Model: ModelP2, Config: platform.Config{App: failApp, System: failure.Titan}}
-	plain := SimulateNWorkers(cfg, 8, 17, 4)
-	metered, snap := SimulateNMetered(cfg, 8, 17, 4)
-	for i := range plain.Runs() {
-		if plain.Runs()[i] != metered.Runs()[i] {
-			t.Fatalf("run %d diverged under metering", i)
-		}
-	}
-	if snap.Empty() {
-		t.Fatal("metered pool returned an empty snapshot")
-	}
-	// Merging is deterministic, so a second metered pool must agree.
-	_, snap2 := SimulateNMetered(cfg, 8, 17, 2)
-	if len(snap.Histograms) != len(snap2.Histograms) {
-		t.Fatalf("snapshot shape depends on worker count: %d vs %d histograms",
-			len(snap.Histograms), len(snap2.Histograms))
-	}
-	// Every handled failure observes exactly one recovery span.
-	failures := 0
-	for _, r := range metered.Runs() {
-		failures += r.Failures
-	}
-	if rec := snap.Histograms["sim.P2.recovery_seconds"]; int(rec.Count) != failures {
-		t.Fatalf("recovery_seconds count %d != %d failures", int(rec.Count), failures)
-	}
-	if bw := snap.Histograms["sim.P2.bb_write_seconds"]; bw.Count == 0 {
-		t.Fatal("no BB write spans recorded")
-	}
-	if g, ok := snap.Gauges["sim.P2.drain_queue_depth"]; !ok || g.Max < 1 {
-		t.Fatalf("drain queue depth gauge missing or flat: %+v", g)
-	}
-}
-
-func TestSimulateNMeteredZeroRuns(t *testing.T) {
-	agg, snap := SimulateNMetered(Config{}, 0, 1, 1)
-	if agg.N() != 0 || !snap.Empty() {
-		t.Fatalf("zero runs: n=%d empty=%v", agg.N(), snap.Empty())
 	}
 }

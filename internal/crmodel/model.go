@@ -75,8 +75,9 @@ type Config struct {
 	// drain queue depth, effective PFS bandwidth, lead-time consumption.
 	// Like Trace, nil costs nothing on the hot path. A Registry is
 	// single-run state — never share one across concurrent Simulate
-	// calls; SimulateNMetered gives every run its own and merges the
-	// snapshots.
+	// calls. Production metering runs on the step tier
+	// (experiments.SimulateMeteredN), which records the same series;
+	// this tier's metering is the reference it is tested against.
 	Metrics *metrics.Registry
 }
 

@@ -1,128 +1,9 @@
 package crmodel
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-
-	"pckpt/internal/metrics"
-	"pckpt/internal/stats"
-)
-
-// simulateRun indirects Simulate so the panic-recovery test can plant a
-// deliberately crashing run without corrupting a real configuration.
-var simulateRun = Simulate
-
-// runSafe executes one run with a recover guard: a panicking run — a bug,
-// or the sim watchdog killing a livelock — is reported as a failure
-// string instead of taking down the whole sweep.
-func runSafe(cfg Config, seed uint64) (r stats.RunResult, failure string) {
-	defer func() {
-		if p := recover(); p != nil {
-			failure = fmt.Sprint(p)
-		}
-	}()
-	return simulateRun(cfg, seed), ""
-}
-
-// SimulateN runs n independent simulations of cfg with seeds derived from
-// baseSeed and aggregates the results. Runs execute in parallel across
-// worker goroutines (each run is an isolated DES with its own RNG
-// substream, so runs share nothing); results are accumulated in seed
-// order, keeping the aggregate deterministic regardless of scheduling.
-func SimulateN(cfg Config, n int, baseSeed uint64) *stats.Agg {
-	return SimulateNWorkers(cfg, n, baseSeed, runtime.GOMAXPROCS(0))
-}
-
-// SimulateNWorkers is SimulateN with an explicit worker count (tests use
-// 1 for reproducible profiling, benchmarks sweep it).
-func SimulateNWorkers(cfg Config, n int, baseSeed uint64, workers int) *stats.Agg {
-	agg, _ := simulatePool(cfg, n, baseSeed, workers, false)
-	return agg
-}
-
-// SimulateNMetered is SimulateNWorkers with the metrics subsystem on:
-// every run records into its own private registry (no locks touch the
-// simulation hot path), the per-run snapshots are merged in seed order,
-// and the deterministic merged snapshot is returned alongside the
-// aggregate. Any registry already set on cfg.Metrics is ignored — sharing
-// one registry across concurrent runs would race.
-func SimulateNMetered(cfg Config, n int, baseSeed uint64, workers int) (*stats.Agg, *metrics.Snapshot) {
-	return simulatePool(cfg, n, baseSeed, workers, true)
-}
-
-// simulatePool is the shared worker-pool body. Runs execute concurrently;
-// results and snapshots land in per-run slots, so the only coordination
-// is the work channel and the final WaitGroup.
-func simulatePool(cfg Config, n int, baseSeed uint64, workers int, meter bool) (*stats.Agg, *metrics.Snapshot) {
-	if n <= 0 {
-		return &stats.Agg{}, &metrics.Snapshot{}
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	cfg.Metrics = nil // per-run registries only; a shared one would race
-	results := make([]stats.RunResult, n)
-	fails := make([]string, n)
-	var snaps []*metrics.Snapshot
-	if meter {
-		snaps = make([]*metrics.Snapshot, n)
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				runCfg := cfg
-				if meter {
-					runCfg.Metrics = metrics.New()
-				}
-				r, failed := runSafe(runCfg, RunSeed(baseSeed, i))
-				if failed != "" {
-					fails[i] = failed
-					continue
-				}
-				results[i] = r
-				if meter {
-					snaps[i] = runCfg.Metrics.Snapshot(r.WallSeconds)
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	agg := &stats.Agg{}
-	desc := fmt.Sprintf("model=%s app=%s system=%s", cfg.Model, cfg.App.Name, cfg.System.Name)
-	for i, r := range results {
-		if fails[i] != "" {
-			agg.AddFailed(stats.FailedRun{Seed: RunSeed(baseSeed, i), Config: desc, Err: fails[i]})
-			continue
-		}
-		agg.Add(r)
-	}
-	merged := &metrics.Snapshot{}
-	for _, s := range snaps {
-		merged.Merge(s)
-	}
-	return agg, merged
-}
-
 // RunSeed derives the seed for run index i from the experiment's base
 // seed with a SplitMix64-style mix, so neighbouring runs are uncorrelated.
-// Exported so the tier-generic runner in internal/experiments draws the
-// exact same seed sequence for either simulation tier.
+// Every tier's runner (internal/experiments) draws this one sequence, so
+// per-seed results are comparable across tiers.
 func RunSeed(base uint64, i int) uint64 {
 	x := base + 0x9e3779b97f4a7c15*uint64(i+1)
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -58,7 +58,7 @@ type appSim struct {
 	// only): cluster.AppendVulnerable fills it without allocating.
 	vulnBuf []int
 
-	met runMetrics
+	met policy.RunMetrics
 	res stats.RunResult
 }
 
@@ -100,7 +100,7 @@ func Simulate(cfg Config, seed uint64) stats.RunResult {
 		st:    policy.NewState(),
 	}
 	a.pricing = pckpt.NewEpisodePricing(cfg.IO, a.plat.PerNodeGB)
-	a.met = newRunMetrics(cfg.Metrics, cfg.Model)
+	a.met = policy.NewRunMetrics(cfg.Metrics, cfg.Model)
 	if cfg.Metrics != nil {
 		a.observeCluster()
 	}
@@ -194,10 +194,10 @@ func (a *appSim) bbCheckpoint(p *sim.Proc) {
 	if !a.blockedWait(p, a.plat.BBWrite, &a.res.Overheads.Checkpoint) {
 		// A failure voided the write and rolled progress back; resume
 		// computing, the next cycle will checkpoint the redone state.
-		a.met.bbAborted.Inc()
+		a.met.BBAborted.Inc()
 		return
 	}
-	a.met.bbWrite.Observe(a.env.Now() - began)
+	a.met.BBWrite.Observe(a.env.Now() - began)
 	if a.inj.BBWriteFails() {
 		// The write occupied the BBs for its full duration and then
 		// failed: nothing committed, no drain; the next periodic cycle
@@ -217,10 +217,10 @@ func (a *appSim) bbCheckpoint(p *sim.Proc) {
 	a.cl.RecordBBCheckpointAll(a.progress)
 	captured := a.progress
 	gen, depth := a.st.BeginDrain()
-	a.met.drainDepth.Set(a.env.Now(), float64(depth))
+	a.met.DrainDepth.Set(a.env.Now(), float64(depth))
 	a.env.At(a.plat.Drain, func() {
 		depth, current := a.st.FinishDrain(gen)
-		a.met.drainDepth.Set(a.env.Now(), float64(depth))
+		a.met.DrainDepth.Set(a.env.Now(), float64(depth))
 		// The drain completes unless a newer checkpoint superseded it
 		// (each BB write restarts the drain of the newest data).
 		if current {
@@ -367,7 +367,7 @@ func (a *appSim) pckptEpisode(p *sim.Proc, first failure.Event) {
 	})
 	if a.cfg.Metrics != nil {
 		a.vulnBuf = a.cl.AppendVulnerable(a.vulnBuf[:0])
-		a.met.episodeWidth.Observe(float64(len(a.vulnBuf)))
+		a.met.EpisodeWidth.Observe(float64(len(a.vulnBuf)))
 	}
 	for ep.Q.Len() > 0 && !ep.Abandoned {
 		_, ev := ep.Q.Pop()
@@ -386,7 +386,7 @@ func (a *appSim) pckptEpisode(p *sim.Proc, first failure.Event) {
 			continue
 		}
 		ep.Committed++
-		a.met.commitLat.Observe(a.env.Now() - epBegin)
+		a.met.CommitLat.Observe(a.env.Now() - epBegin)
 		a.trace(trace.VulnerableCommit, ev.Node, "")
 		a.cl.RecordPFSCheckpoint(ev.Node, ep.StartProgress)
 		if a.cl.Node(ev.Node).State == cluster.Vulnerable {
@@ -396,12 +396,12 @@ func (a *appSim) pckptEpisode(p *sim.Proc, first failure.Event) {
 			// The vulnerable node's state reached the PFS before its
 			// failure: the failure is mitigated.
 			a.st.Mitigate(ev.ID, ep.StartProgress)
-			a.met.leadConsumed.Observe(a.env.Now() - (ev.FailTime - ev.Lead))
-			a.met.leadMargin.Observe(ev.FailTime - a.env.Now())
+			a.met.LeadConsumed.Observe(a.env.Now() - (ev.FailTime - ev.Lead))
+			a.met.LeadMargin.Observe(ev.FailTime - a.env.Now())
 		}
 	}
 	if ep.Abandoned {
-		a.met.episodesAbandoned.Inc()
+		a.met.EpisodesAbandoned.Inc()
 		return
 	}
 	// Phase 2: pfs-commit broadcast; healthy nodes write together.
@@ -409,10 +409,10 @@ func (a *appSim) pckptEpisode(p *sim.Proc, first failure.Event) {
 	if healthy > 0 {
 		tr := a.pricing.Phase2Transfer(healthy)
 		if !a.blockedWait(p, tr.Seconds, &a.res.Overheads.Checkpoint) {
-			a.met.episodesAbandoned.Inc()
+			a.met.EpisodesAbandoned.Inc()
 			return
 		}
-		a.met.pfsGBs.Observe(tr.GBs)
+		a.met.PFSGBs.Observe(tr.GBs)
 	}
 	if a.inj.PFSWriteFails() {
 		// The phase-2 collective write failed: the episode's full
@@ -426,7 +426,7 @@ func (a *appSim) pckptEpisode(p *sim.Proc, first failure.Event) {
 		}
 		a.st.MarkRescheduled()
 	}
-	a.met.episodeDur.Observe(a.env.Now() - epBegin)
+	a.met.EpisodeDur.Observe(a.env.Now() - epBegin)
 	if a.cfg.Trace != nil {
 		a.trace(trace.EpisodeEnd, -1, fmt.Sprintf("blocked=%.1fs committed=%d", a.env.Now()-epBegin, ep.Committed))
 	}
@@ -462,17 +462,17 @@ func (a *appSim) safeguard(p *sim.Proc) {
 	a.st.MarkRescheduled()
 	a.trace(trace.SafeguardEnd, -1, "")
 	now := a.env.Now()
-	a.met.safeguardDur.Observe(now - began)
+	a.met.SafeguardDur.Observe(now - began)
 	if a.plat.FullPFSWrite > 0 {
-		a.met.pfsGBs.Observe(float64(a.plat.Nodes) * a.plat.PerNodeGB / a.plat.FullPFSWrite)
+		a.met.PFSGBs.Observe(float64(a.plat.Nodes) * a.plat.PerNodeGB / a.plat.FullPFSWrite)
 	}
 	a.st.EachPrediction(func(id int64, pi policy.Prediction) {
 		if pi.FailAt >= now {
 			// The safeguard committed everyone's state before this
 			// pending failure: mitigated.
 			a.st.Mitigate(id, startProgress)
-			a.met.leadConsumed.Observe(now - (pi.FailAt - pi.Lead))
-			a.met.leadMargin.Observe(pi.FailAt - now)
+			a.met.LeadConsumed.Observe(now - (pi.FailAt - pi.Lead))
+			a.met.LeadMargin.Observe(pi.FailAt - now)
 		}
 	})
 }
@@ -526,9 +526,9 @@ func (a *appSim) onFailure(p *sim.Proc, ev failure.Event) {
 		a.res.Recompute += loss
 		a.progress = q
 	}
-	a.met.recomputeLoss.Observe(loss)
+	a.met.RecomputeLoss.Observe(loss)
 	if fullPFSRestore && recovery > 0 {
-		a.met.pfsGBs.Observe(float64(a.plat.Nodes) * a.plat.PerNodeGB / recovery)
+		a.met.PFSGBs.Observe(float64(a.plat.Nodes) * a.plat.PerNodeGB / recovery)
 	}
 	if a.cfg.Trace != nil {
 		outcome := "unhandled"
@@ -594,7 +594,7 @@ func (a *appSim) onFailure(p *sim.Proc, ev failure.Event) {
 	if cascades > 0 {
 		a.inj.ObserveCascadeDepth(cascades)
 	}
-	a.met.recoveryDur.Observe(a.env.Now() - began)
+	a.met.RecoveryDur.Observe(a.env.Now() - began)
 	a.trace(trace.RecoveryDone, ev.Node, "")
 }
 

@@ -7,6 +7,7 @@ import (
 	"pckpt/internal/failure"
 	"pckpt/internal/iomodel"
 	"pckpt/internal/platform"
+	"pckpt/internal/stats"
 	"pckpt/internal/workload"
 )
 
@@ -25,6 +26,16 @@ var smallApp = workload.App{Name: "tiny", Nodes: 16, TotalCkptGB: 160, ComputeHo
 
 // failApp is big and long enough on Titan to see several failures per run.
 var failApp = workload.App{Name: "faily", Nodes: 2000, TotalCkptGB: 2000, ComputeHours: 200}
+
+// simulateN aggregates n runs of cfg over the RunSeed sequence from
+// baseSeed — the statistical tests' stand-in for the sweep runner.
+func simulateN(cfg Config, n int, baseSeed uint64) *stats.Agg {
+	agg := &stats.Agg{}
+	for i := 0; i < n; i++ {
+		agg.Add(Simulate(cfg, RunSeed(baseSeed, i)))
+	}
+	return agg
+}
 
 func TestSimulateDeterministic(t *testing.T) {
 	cfg := Config{Model: ModelP2, Config: platform.Config{App: failApp, System: failure.Titan}}
@@ -186,7 +197,7 @@ func TestOverheadReductionOrderingCHIMERA(t *testing.T) {
 	const runs = 300
 	totals := map[Model]float64{}
 	for _, m := range Models() {
-		agg := SimulateN(Config{Model: m, Config: platform.Config{App: app, System: failure.Titan}}, runs, 99)
+		agg := simulateN(Config{Model: m, Config: platform.Config{App: app, System: failure.Titan}}, runs, 99)
 		totals[m] = agg.MeanOverheads().Total()
 	}
 	if !(totals[ModelP2] < totals[ModelP1] && totals[ModelP1] < totals[ModelM2] && totals[ModelM2] < totals[ModelM1]) {
@@ -199,26 +210,6 @@ func TestOverheadReductionOrderingCHIMERA(t *testing.T) {
 	// P2's total reduction must land in the paper's neighbourhood.
 	if red := 100 * (totals[ModelB] - totals[ModelP2]) / totals[ModelB]; red < 35 || red > 70 {
 		t.Fatalf("P2 reduction %.1f%% outside the plausible band [35, 70]", red)
-	}
-}
-
-func TestSimulateNMatchesSequential(t *testing.T) {
-	cfg := Config{Model: ModelP2, Config: platform.Config{App: smallApp, System: failure.Titan}}
-	par := SimulateNWorkers(cfg, 16, 9, 8)
-	seq := SimulateNWorkers(cfg, 16, 9, 1)
-	if par.N() != 16 || seq.N() != 16 {
-		t.Fatalf("run counts wrong: %d / %d", par.N(), seq.N())
-	}
-	for i := range par.Runs() {
-		if par.Runs()[i] != seq.Runs()[i] {
-			t.Fatalf("run %d differs between parallel and sequential execution", i)
-		}
-	}
-}
-
-func TestSimulateNZeroRuns(t *testing.T) {
-	if agg := SimulateN(Config{}, 0, 1); agg.N() != 0 {
-		t.Fatal("zero runs must return an empty aggregate")
 	}
 }
 
@@ -242,7 +233,7 @@ func TestFTRatiosMatchPaperTable(t *testing.T) {
 	}
 	for _, c := range checks {
 		app := testApp(t, c.app)
-		agg := SimulateN(Config{Model: c.model, Config: platform.Config{App: app, System: failure.Titan}}, 150, 4242)
+		agg := simulateN(Config{Model: c.model, Config: platform.Config{App: app, System: failure.Titan}}, 150, 4242)
 		if ft := agg.MeanFTRatio(); ft < c.lo || ft > c.hi {
 			t.Errorf("%s %s FT = %.3f, want in [%.2f, %.2f]", c.app, c.model, ft, c.lo, c.hi)
 		}

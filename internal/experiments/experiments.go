@@ -71,13 +71,6 @@ type Params struct {
 	// -machine-* flags). Only contention and machine-degraded honour it;
 	// neither is cached, so the plan needs no cache-key plumbing.
 	MachineFaults faultinject.MachineConfig
-	// SweepTier names the registry tier experiment sweeps simulate on;
-	// empty selects the step tier. The tier must be bit-identical to the
-	// reference (cache keys are tier-agnostic, so a cached aggregate must
-	// not depend on which tier produced it) — the node tier is therefore
-	// not a valid sweep tier. Distinct from Tiers, which filters the
-	// tiers the crossval experiment compares.
-	SweepTier string
 	// CrossCheckStride re-runs every Nth seed of a sweep configuration on
 	// the reference tier and compares bit for bit (see SimulateSweepN).
 	// Zero selects DefaultCrossCheckStride; negative disables the
@@ -184,22 +177,10 @@ func (p Params) apps(defaults ...string) []workload.App {
 	return out
 }
 
-// sweepTier resolves the Params sweep tier: the step tier by default,
-// and never a tier that is not bit-identical to the reference.
-func (p Params) sweepTier() Tier {
-	name := p.SweepTier
-	if name == "" {
-		name = StepTier().Name
-	}
-	t, ok := TierByName(name)
-	if !ok {
-		panic(fmt.Errorf("experiments: unknown sweep tier %q (have %s)", name, strings.Join(TierNames(), ", ")))
-	}
-	if !t.BitIdentical {
-		panic(fmt.Errorf("experiments: tier %q is not bit-identical to the reference and cannot run sweeps (cache keys are tier-agnostic)", name))
-	}
-	return t
-}
+// sweepTier is the tier every experiment sweep simulates on, audited
+// against the app-level reference by the sampled cross-check. It is a
+// variable only so tests can plant a drifting tier.
+var sweepTier = StepTier
 
 // crossCheckStride resolves the Params cross-check density: the default
 // stride when unset, disabled when negative.
@@ -227,10 +208,8 @@ func configSeed(base uint64, label string) uint64 {
 // runConfig resolves one (model, app, …) configuration: from the cache
 // when possible, by simulation otherwise (metering into p.Metrics when
 // collection is on, and flushing the fresh aggregate back to the cache).
-// Unmetered sweeps run on p's sweep tier — the step tier by default —
-// with the app tier sampled as a bit-identity cross-check; metered
-// sweeps stay on the app tier, whose metric series the collectors and
-// snapshot goldens expect.
+// Metered or not, the configuration runs on the step tier with the app
+// tier sampled as a bit-identity cross-check (see SimulateSweepN).
 func runConfig(p Params, cfg crmodel.Config, label string) *stats.Agg {
 	if p.Faults.Enabled() && !cfg.Faults.Enabled() {
 		cfg.Faults = p.Faults
@@ -241,13 +220,18 @@ func runConfig(p Params, cfg crmodel.Config, label string) *stats.Agg {
 	}
 	p.checkInterrupt()
 	seed := configSeed(p.Seed, label)
+	t := sweepTier()
+	var agg *stats.Agg
+	var snap *metrics.Snapshot
 	if p.Metrics == nil {
-		agg := SimulateSweepN(p.sweepTier(), cfg.Model, cfg.Config, p.Runs, seed, p.Workers, p.crossCheckStride())
-		p.cachePut(key, agg, nil)
-		return agg
+		agg = SimulateTierN(t, cfg.Model, cfg.Config, p.Runs, seed, p.Workers)
+	} else {
+		agg, snap = SimulateMeteredN(cfg.Model, cfg.Config, p.Runs, seed, p.Workers)
+		p.Metrics.Add(snap)
 	}
-	agg, snap := crmodel.SimulateNMetered(cfg, p.Runs, seed, p.Workers)
-	p.Metrics.Add(snap)
+	if stride := p.crossCheckStride(); stride > 0 {
+		crossCheckSampled(t, AppTier(), cfg.Model, cfg.Config, p.Runs, seed, stride)
+	}
 	p.cachePut(key, agg, snap)
 	return agg
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"pckpt/internal/crmodel"
+	"pckpt/internal/metrics"
 	"pckpt/internal/nodesim"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
@@ -29,13 +30,6 @@ type Tier struct {
 	Supports func(id policy.ID) bool
 	// Simulate runs one seed of the model on the shared platform config.
 	Simulate func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult
-	// BitIdentical marks tiers whose RunResults equal the reference
-	// tier's bit for bit on shared seeds. Only such tiers may serve as
-	// the sweep tier: experiment cache keys are tier-agnostic, so a
-	// cached aggregate must be valid no matter which bit-identical tier
-	// produced it. The node tier models at finer granularity and only
-	// agrees statistically, so it stays false.
-	BitIdentical bool
 }
 
 // AppTier is the application-granularity tier; it implements the full
@@ -47,7 +41,6 @@ func AppTier() Tier {
 		Simulate: func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
 			return crmodel.Simulate(crmodel.Config{Model: id, Config: plat}, seed)
 		},
-		BitIdentical: true,
 	}
 }
 
@@ -66,9 +59,9 @@ func NodeTier() Tier {
 // StepTier is the tier-0 step-based engine; it implements the full
 // five-model catalogue — p-ckpt episodes included — and is bit-identical
 // to the app tier on shared failure streams — same RunResult, not just
-// agreeing statistics (crossval enforces this). It is the default sweep
-// tier; the app tier rides along as a sampled cross-check (see
-// SimulateSweepN).
+// agreeing statistics (crossval enforces this). It is the sweep tier,
+// metered (SimulateMeteredN) or not; the app tier rides along as a
+// sampled cross-check (see SimulateSweepN).
 func StepTier() Tier {
 	return Tier{
 		Name:     "step",
@@ -76,12 +69,11 @@ func StepTier() Tier {
 		Simulate: func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
 			return stepsim.Simulate(stepsim.Config{Model: id, Config: plat}, seed)
 		},
-		BitIdentical: true,
 	}
 }
 
 // Tiers is the tier registry, reference tier first. Every consumer that
-// enumerates granularities (cross-validation, CLI tier flags, parity
+// enumerates granularities (cross-validation, the -tiers filter, parity
 // tests) ranges over this list, so registering a tier here is the only
 // required change.
 func Tiers() []Tier { return []Tier{AppTier(), NodeTier(), StepTier()} }
@@ -128,25 +120,55 @@ func runTier(p Params, t Tier, id policy.ID, plat platform.Config, n int, baseSe
 }
 
 // SimulateTierN runs n seeds of one catalogue entry on a tier, drawing
-// the identical crmodel.RunSeed sequence either tier's native runner
-// would use, so per-seed results are comparable across tiers. Results
-// aggregate in seed order regardless of worker interleaving. A run that
-// panics — a model bug, or the sim watchdog killing a livelock — lands
-// in the aggregate's failed-run ledger instead of aborting the sweep.
+// the identical crmodel.RunSeed sequence on every tier, so per-seed
+// results are comparable across tiers. Results aggregate in seed order
+// regardless of worker interleaving. A run that panics — a model bug, or
+// the sim watchdog killing a livelock — lands in the aggregate's
+// failed-run ledger instead of aborting the sweep.
 func SimulateTierN(t Tier, id policy.ID, plat platform.Config, n int, baseSeed uint64, workers int) *stats.Agg {
+	return simulatePool(t.Name, id, plat, n, baseSeed, workers, func(_ int, seed uint64) stats.RunResult {
+		return t.Simulate(id, plat, seed)
+	})
+}
+
+// SimulateMeteredN is SimulateTierN on the step tier with the metrics
+// subsystem on: every run records into its own private registry (no
+// locks touch the simulation hot path), and the per-run snapshots are
+// merged in seed order into a snapshot that is independent of the
+// worker count. Failed runs contribute no snapshot.
+func SimulateMeteredN(id policy.ID, plat platform.Config, n int, baseSeed uint64, workers int) (*stats.Agg, *metrics.Snapshot) {
+	snaps := make([]*metrics.Snapshot, n)
+	agg := simulatePool(StepTier().Name, id, plat, n, baseSeed, workers, func(i int, seed uint64) stats.RunResult {
+		reg := metrics.New()
+		r := stepsim.Simulate(stepsim.Config{Model: id, Config: plat, Metrics: reg}, seed)
+		snaps[i] = reg.Snapshot(r.WallSeconds)
+		return r
+	})
+	merged := &metrics.Snapshot{}
+	for _, s := range snaps {
+		merged.Merge(s)
+	}
+	return agg, merged
+}
+
+// simulatePool is the worker pool behind both runners: run(i, seed)
+// executes seed index i under a recover guard, results land in per-index
+// slots, and the aggregate is built in seed order, so the only
+// coordination is the work channel and the final WaitGroup.
+func simulatePool(tier string, id policy.ID, plat platform.Config, n int, baseSeed uint64, workers int, run func(i int, seed uint64) stats.RunResult) *stats.Agg {
 	if workers <= 0 {
 		workers = 1
 	}
 	if workers > n {
 		workers = n
 	}
-	simulateSafe := func(seed uint64) (r stats.RunResult, failure string) {
+	runSafe := func(i int) (r stats.RunResult, failure string) {
 		defer func() {
 			if p := recover(); p != nil {
 				failure = fmt.Sprint(p)
 			}
 		}()
-		return t.Simulate(id, plat, seed), ""
+		return run(i, crmodel.RunSeed(baseSeed, i)), ""
 	}
 	results := make([]stats.RunResult, n)
 	fails := make([]string, n)
@@ -157,7 +179,7 @@ func SimulateTierN(t Tier, id policy.ID, plat platform.Config, n int, baseSeed u
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				results[i], fails[i] = simulateSafe(crmodel.RunSeed(baseSeed, i))
+				results[i], fails[i] = runSafe(i)
 			}
 		}()
 	}
@@ -167,7 +189,7 @@ func SimulateTierN(t Tier, id policy.ID, plat platform.Config, n int, baseSeed u
 	close(next)
 	wg.Wait()
 	agg := &stats.Agg{}
-	desc := fmt.Sprintf("tier=%s model=%s app=%s", t.Name, id, plat.App.Name)
+	desc := fmt.Sprintf("tier=%s model=%s app=%s", tier, id, plat.App.Name)
 	for i, r := range results {
 		if fails[i] != "" {
 			agg.AddFailed(stats.FailedRun{Seed: crmodel.RunSeed(baseSeed, i), Config: desc, Err: fails[i]})
@@ -186,7 +208,7 @@ const DefaultCrossCheckStride = 16
 // SimulateSweepN is SimulateTierN plus a sampled cross-check: every
 // stride-th seed index is re-simulated on the reference (app) tier and
 // the two RunResults compared bit for bit. It is the sweep path's
-// runner — sweeps default to the step tier for speed, and the sampled
+// runner — sweeps run on the step tier for speed, and the sampled
 // reference runs keep the bit-identity contract continuously audited
 // instead of trusted. A divergence panics with a full diagnostic: a
 // tier that has drifted invalidates every cached aggregate it produced,

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"pckpt/internal/crmodel"
 	"pckpt/internal/failure"
+	"pckpt/internal/metrics"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
 	"pckpt/internal/runcache"
@@ -90,6 +92,129 @@ func TestSimulateTierNEdgeCases(t *testing.T) {
 	}
 }
 
+// TestSimulateTierNLedgersWatchdog wires the two safety rails together:
+// a livelocked simulation trips the step engine's watchdog, and the
+// pool's recover converts that panic into a ledger entry — naming the
+// stuck event — instead of hanging or killing the sweep.
+func TestSimulateTierNLedgersWatchdog(t *testing.T) {
+	stuckSeed := crmodel.RunSeed(7, 0)
+	livelock := Tier{
+		Name:     "livelock",
+		Supports: func(policy.ID) bool { return true },
+		Simulate: func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
+			if seed != stuckSeed {
+				return stats.RunResult{WallSeconds: 1}
+			}
+			eng := stepsim.NewEngine()
+			eng.SetWatchdog(100, 0)
+			var spin func()
+			spin = func() { eng.AtNamed(0, "spin", spin) }
+			eng.AtNamed(0, "spin", spin)
+			eng.RunAll()
+			return stats.RunResult{}
+		},
+	}
+	plat := platform.Config{App: workload.App{Name: "fakeapp", Nodes: 4, TotalCkptGB: 4, ComputeHours: 1}}
+	agg := SimulateTierN(livelock, policy.B, plat, 2, 7, 1)
+	if agg.N() != 1 || len(agg.Failed()) != 1 {
+		t.Fatalf("runs=%d failed=%d, want 1/1", agg.N(), len(agg.Failed()))
+	}
+	if f := agg.Failed()[0]; f.Seed != stuckSeed || !strings.Contains(f.Err, "watchdog") || !strings.Contains(f.Err, "spin") {
+		t.Fatalf("watchdog diagnostic lost in the ledger: %+v", f)
+	}
+}
+
+// TestSimulateTierNWorkerCountIndependent: the pool's per-seed results
+// do not depend on how many workers ran them — the invariant the result
+// cache relies on when it keys configurations without Workers.
+func TestSimulateTierNWorkerCountIndependent(t *testing.T) {
+	plat := platform.Config{
+		App:    workload.App{Name: "crossval-48", Nodes: 48, TotalCkptGB: 960, ComputeHours: 24},
+		System: failure.Titan,
+	}
+	par := SimulateTierN(StepTier(), policy.P2, plat, 16, 9, 8)
+	seq := SimulateTierN(StepTier(), policy.P2, plat, 16, 9, 1)
+	if par.N() != 16 || seq.N() != 16 {
+		t.Fatalf("run counts wrong: %d / %d", par.N(), seq.N())
+	}
+	if !reflect.DeepEqual(par.Runs(), seq.Runs()) {
+		t.Fatal("per-seed results differ between 8 workers and 1")
+	}
+}
+
+// TestSimulateMeteredNMatchesUnmetered: metering changes no result, the
+// merged snapshot is independent of the worker count, its series agree
+// with the runs they describe, and zero runs yield an empty aggregate
+// and snapshot.
+func TestSimulateMeteredNMatchesUnmetered(t *testing.T) {
+	plat := platform.Config{
+		App:    workload.App{Name: "crossval-48", Nodes: 48, TotalCkptGB: 960, ComputeHours: 24},
+		System: failure.System{Name: "busy", Shape: 0.75, ScaleHours: 40, Nodes: 48},
+	}
+	plain := SimulateTierN(StepTier(), policy.P2, plat, 8, 17, 4)
+	metered, snap := SimulateMeteredN(policy.P2, plat, 8, 17, 4)
+	if !reflect.DeepEqual(plain.Runs(), metered.Runs()) {
+		t.Fatal("metering changed the per-seed results")
+	}
+	if _, snap1 := SimulateMeteredN(policy.P2, plat, 8, 17, 1); !reflect.DeepEqual(snap, snap1) {
+		t.Fatal("merged snapshot depends on the worker count")
+	}
+	// Every handled failure observes exactly one recovery span.
+	failures := 0
+	for _, r := range metered.Runs() {
+		failures += r.Failures
+	}
+	if failures == 0 {
+		t.Fatal("no failures in the metered runs; the recovery check is vacuous")
+	}
+	if rec := snap.Histograms["sim.P2.recovery_seconds"]; int(rec.Count) != failures {
+		t.Fatalf("recovery_seconds count %d != %d failures", int(rec.Count), failures)
+	}
+	if bw := snap.Histograms["sim.P2.bb_write_seconds"]; bw.Count == 0 {
+		t.Fatal("no BB write spans recorded")
+	}
+	if g, ok := snap.Gauges["sim.P2.drain_queue_depth"]; !ok || g.Max < 1 {
+		t.Fatalf("drain queue depth gauge missing or flat: %+v", g)
+	}
+
+	agg, empty := SimulateMeteredN(policy.B, plat, 0, 1, 1)
+	if agg.N() != 0 || !empty.Empty() {
+		t.Fatalf("zero runs: n=%d empty=%v", agg.N(), empty.Empty())
+	}
+}
+
+// TestRunConfigMeteredCrossCheck: metered sweeps are audited like
+// unmetered ones — a sweep tier that drifts from the reference on a
+// sampled seed panics the metered configuration instead of collecting
+// its snapshot.
+func TestRunConfigMeteredCrossCheck(t *testing.T) {
+	orig := sweepTier
+	defer func() { sweepTier = orig }()
+	sweepTier = func() Tier {
+		drift := StepTier()
+		drift.Name = "fake-drift"
+		drift.Simulate = func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
+			r := stepsim.Simulate(stepsim.Config{Model: id, Config: plat}, seed)
+			r.WallSeconds++
+			return r
+		}
+		return drift
+	}
+	app := workload.App{Name: "tiny", Nodes: 16, TotalCkptGB: 160, ComputeHours: 10}
+	cfg := crmodel.Config{Model: crmodel.ModelP1, Config: platform.Config{App: app, System: failure.Titan}}
+	p := Params{Runs: 4, Seed: 1, SeedSet: true, Workers: 2, Metrics: metrics.NewCollector()}
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("metered runConfig passed a drifted tier")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "fake-drift") || !strings.Contains(msg, "diverged") {
+			t.Fatalf("divergence panic %q lacks the tier diagnostic", msg)
+		}
+	}()
+	runConfig(p, cfg, "metered-drift")
+}
+
 // TestRunTierCacheKeysDistinct plants three same-named-everything-else
 // tiers against one cache directory: each tier's aggregate must resolve
 // from its own entry, so registering a third tier cannot silently serve
@@ -165,41 +290,15 @@ func TestTierRegistry(t *testing.T) {
 			}
 		}
 	}
-	bitID := map[string]bool{"app": true, "node": false, "step": true}
-	for _, tr := range ts {
-		if tr.BitIdentical != bitID[tr.Name] {
-			t.Errorf("%s.BitIdentical = %t, want %t", tr.Name, tr.BitIdentical, bitID[tr.Name])
-		}
-	}
 }
 
-// TestSweepTierDefaults pins the sweep-path routing: sweeps default to
-// the step tier, an explicit tier resolves by registry name, unknown
-// names and non-bit-identical tiers refuse with context.
+// TestSweepTierDefaults pins the sweep-path routing: sweeps run on the
+// step tier, and the cross-check stride defaults, overrides, and
+// disables as documented.
 func TestSweepTierDefaults(t *testing.T) {
-	if got := (Params{}).sweepTier(); got.Name != "step" {
-		t.Errorf("default sweep tier = %q, want step", got.Name)
+	if got := sweepTier(); got.Name != "step" {
+		t.Errorf("sweep tier = %q, want step", got.Name)
 	}
-	if got := (Params{SweepTier: "app"}).sweepTier(); got.Name != "app" {
-		t.Errorf("explicit sweep tier = %q, want app", got.Name)
-	}
-	mustPanic := func(p Params, frag string) {
-		t.Helper()
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Errorf("SweepTier=%q did not panic", p.SweepTier)
-				return
-			}
-			if !strings.Contains(fmt.Sprint(r), frag) {
-				t.Errorf("SweepTier=%q panic %v lacks %q", p.SweepTier, r, frag)
-			}
-		}()
-		p.sweepTier()
-	}
-	mustPanic(Params{SweepTier: "bogus"}, "unknown sweep tier")
-	mustPanic(Params{SweepTier: "node"}, "not bit-identical")
-
 	if got := (Params{}).crossCheckStride(); got != DefaultCrossCheckStride {
 		t.Errorf("default cross-check stride = %d, want %d", got, DefaultCrossCheckStride)
 	}

@@ -64,7 +64,7 @@ type Config struct {
 	// Empty defaults to each job in its own rack (uncorrelated crashes).
 	Racks []int
 	// Metrics, when non-nil, receives machine-level metrics under the
-	// "machine." prefix (plus each job's own step-tier metrics).
+	// "machine." prefix (plus each job's own "sim.<model>." series).
 	Metrics *metrics.Registry
 	// OnAlloc, when non-nil, observes every bandwidth repricing — the
 	// conservation probe (total allocation never exceeds the
@@ -387,8 +387,9 @@ func SimulateN(cfg Config, runs int, seed uint64, workers int) []Result {
 	if runs <= 0 {
 		return nil
 	}
-	// Shared observers would race across workers (crmodel's sweeps drop
-	// them for the same reason); per-run introspection uses Simulate.
+	// Shared observers would race across workers (metered sweeps give
+	// every run its own registry for the same reason); per-run
+	// introspection uses Simulate.
 	cfg.Metrics = nil
 	cfg.OnAlloc = nil
 	if workers <= 0 {

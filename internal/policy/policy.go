@@ -5,14 +5,17 @@
 // consume this package, so a model's identity, labels, capabilities, and
 // prediction-time decisions exist exactly once.
 //
-// The package has three parts:
+// The package has four parts:
 //
 //   - ID: the catalogue (names, labels, capability predicates, parsing);
 //   - Policy: the strategy interface with prediction/failure hooks, with
 //     one implementation per model (For);
 //   - State: the shared C/R lifecycle state machine (fail-epoch voiding,
 //     drain generations, episodes, migrations, predictions) that the
-//     tiers previously duplicated as ad-hoc counters (see state.go).
+//     tiers previously duplicated as ad-hoc counters (see state.go);
+//   - RunMetrics: the "sim.<model>." metric handles the application-
+//     granularity engines (crmodel, stepsim) both record through (see
+//     metrics.go).
 package policy
 
 import "fmt"

@@ -30,7 +30,9 @@ type Config struct {
 	// Trace, when non-nil, receives the run's timeline events.
 	Trace trace.Recorder
 	// Metrics, when non-nil, receives the run's simulation-time metrics
-	// under the "stepsim.<model>." prefix. Nil costs nothing.
+	// under the same "sim.<model>." series crmodel records (see
+	// policy.RunMetrics). Nil costs nothing. A Registry is single-run
+	// state — never share one across concurrent runs.
 	Metrics *metrics.Registry
 }
 
@@ -135,7 +137,7 @@ type appSim struct {
 	blockedCont      func(interrupted bool)
 	interruptPending bool
 
-	met runMetrics
+	met policy.RunMetrics
 	res stats.RunResult
 }
 
@@ -311,7 +313,7 @@ func StartApp(eng *Engine, cfg Config, seed uint64, opts AppOptions) *AppHandle 
 		st:     policy.NewState(),
 	}
 	a.pricing = pckpt.NewEpisodePricing(cfg.IO, a.plat.PerNodeGB)
-	a.met = newRunMetrics(cfg.Metrics, cfg.Model)
+	a.met = policy.NewRunMetrics(cfg.Metrics, cfg.Model)
 	if cfg.Metrics != nil {
 		a.observeCluster()
 	}
@@ -479,11 +481,11 @@ func (a *appSim) bbCheckpoint(k func()) {
 		if !ok {
 			// A failure voided the write and rolled progress back; resume
 			// computing, the next cycle will checkpoint the redone state.
-			a.met.bbAborted.Inc()
+			a.met.BBAborted.Inc()
 			k()
 			return
 		}
-		a.met.bbWrite.Observe(a.now() - began)
+		a.met.BBWrite.Observe(a.now() - began)
 		if a.inj.BBWriteFails() {
 			a.res.BBWriteFailures++
 			a.trace(trace.BBWrite, -1, "write failed (injected)")
@@ -499,7 +501,7 @@ func (a *appSim) bbCheckpoint(k func()) {
 		a.cl.RecordBBCheckpointAll(a.progress)
 		captured := a.progress
 		gen, depth := a.st.BeginDrain()
-		a.met.drainDepth.Set(a.now(), float64(depth))
+		a.met.DrainDepth.Set(a.now(), float64(depth))
 		a.startDrain(captured, gen)
 		k()
 	})
@@ -515,7 +517,7 @@ func (a *appSim) startDrain(captured float64, gen int) {
 			a.dropDrainFlow(fid)
 		}
 		depth, current := a.st.FinishDrain(gen)
-		a.met.drainDepth.Set(a.now(), float64(depth))
+		a.met.DrainDepth.Set(a.now(), float64(depth))
 		// The drain completes unless a newer checkpoint superseded it.
 		if current {
 			if a.inj.PFSWriteFails() {
@@ -733,11 +735,11 @@ func (a *appSim) pckptEpisode(first failure.Event, k func()) {
 	})
 	if a.cfg.Metrics != nil {
 		a.vulnBuf = a.cl.AppendVulnerable(a.vulnBuf[:0])
-		a.met.episodeWidth.Observe(float64(len(a.vulnBuf)))
+		a.met.EpisodeWidth.Observe(float64(len(a.vulnBuf)))
 	}
 	finish := func() { // everything after crmodel's drain loop
 		if ep.Abandoned {
-			a.met.episodesAbandoned.Inc()
+			a.met.EpisodesAbandoned.Inc()
 			done()
 			return
 		}
@@ -754,7 +756,7 @@ func (a *appSim) pckptEpisode(first failure.Event, k func()) {
 				}
 				a.st.MarkRescheduled()
 			}
-			a.met.episodeDur.Observe(a.now() - epBegin)
+			a.met.EpisodeDur.Observe(a.now() - epBegin)
 			if a.cfg.Trace != nil {
 				a.trace(trace.EpisodeEnd, -1, fmt.Sprintf("blocked=%.1fs committed=%d", a.now()-epBegin, ep.Committed))
 			}
@@ -766,11 +768,11 @@ func (a *appSim) pckptEpisode(first failure.Event, k func()) {
 			tr := a.pricing.Phase2Transfer(healthy)
 			a.flowWait(ClassCollective, tr.VolumeGB, tr.Seconds, &a.res.Overheads.Checkpoint, func(ok bool) {
 				if !ok {
-					a.met.episodesAbandoned.Inc()
+					a.met.EpisodesAbandoned.Inc()
 					done()
 					return
 				}
-				a.met.pfsGBs.Observe(tr.GBs)
+				a.met.PFSGBs.Observe(tr.GBs)
 				commit()
 			})
 			return
@@ -802,7 +804,7 @@ func (a *appSim) pckptEpisode(first failure.Event, k func()) {
 				return
 			}
 			ep.Committed++
-			a.met.commitLat.Observe(a.now() - epBegin)
+			a.met.CommitLat.Observe(a.now() - epBegin)
 			a.trace(trace.VulnerableCommit, ev.Node, "")
 			a.cl.RecordPFSCheckpoint(ev.Node, ep.StartProgress)
 			if a.cl.Node(ev.Node).State == cluster.Vulnerable {
@@ -812,8 +814,8 @@ func (a *appSim) pckptEpisode(first failure.Event, k func()) {
 				// The vulnerable node's state reached the PFS before its
 				// failure: the failure is mitigated.
 				a.st.Mitigate(ev.ID, ep.StartProgress)
-				a.met.leadConsumed.Observe(a.now() - (ev.FailTime - ev.Lead))
-				a.met.leadMargin.Observe(ev.FailTime - a.now())
+				a.met.LeadConsumed.Observe(a.now() - (ev.FailTime - ev.Lead))
+				a.met.LeadMargin.Observe(ev.FailTime - a.now())
 			}
 			drain()
 		})
@@ -884,17 +886,17 @@ func (a *appSim) safeguard(k func()) {
 		a.st.MarkRescheduled()
 		a.trace(trace.SafeguardEnd, -1, "")
 		now := a.now()
-		a.met.safeguardDur.Observe(now - began)
+		a.met.SafeguardDur.Observe(now - began)
 		if a.plat.FullPFSWrite > 0 {
-			a.met.pfsGBs.Observe(float64(a.plat.Nodes) * a.plat.PerNodeGB / a.plat.FullPFSWrite)
+			a.met.PFSGBs.Observe(float64(a.plat.Nodes) * a.plat.PerNodeGB / a.plat.FullPFSWrite)
 		}
 		a.st.EachPrediction(func(id int64, pi policy.Prediction) {
 			if pi.FailAt >= now {
 				// The safeguard committed everyone's state before this
 				// pending failure: mitigated.
 				a.st.Mitigate(id, startProgress)
-				a.met.leadConsumed.Observe(now - (pi.FailAt - pi.Lead))
-				a.met.leadMargin.Observe(pi.FailAt - now)
+				a.met.LeadConsumed.Observe(now - (pi.FailAt - pi.Lead))
+				a.met.LeadMargin.Observe(pi.FailAt - now)
 			}
 		})
 		done()
@@ -946,9 +948,9 @@ func (a *appSim) onFailure(ev failure.Event, k func()) {
 		a.res.Recompute += loss
 		a.progress = q
 	}
-	a.met.recomputeLoss.Observe(loss)
+	a.met.RecomputeLoss.Observe(loss)
 	if fullPFSRestore && recovery > 0 {
-		a.met.pfsGBs.Observe(float64(a.plat.Nodes) * a.plat.PerNodeGB / recovery)
+		a.met.PFSGBs.Observe(float64(a.plat.Nodes) * a.plat.PerNodeGB / recovery)
 	}
 	if a.cfg.Trace != nil {
 		outcome := "unhandled"
@@ -979,7 +981,7 @@ func (a *appSim) onFailure(ev failure.Event, k func()) {
 		if cascades > 0 {
 			a.inj.ObserveCascadeDepth(cascades)
 		}
-		a.met.recoveryDur.Observe(a.now() - began)
+		a.met.RecoveryDur.Observe(a.now() - began)
 		a.trace(trace.RecoveryDone, ev.Node, "")
 		k()
 	}

@@ -2,7 +2,7 @@ package stepsim_test
 
 import (
 	"math"
-	"strings"
+	"reflect"
 	"testing"
 
 	"pckpt/internal/crmodel"
@@ -262,28 +262,53 @@ func TestTraceTimelineParity(t *testing.T) {
 }
 
 // TestMeteredRunIdentical: attaching a metrics registry must not change
-// the result (the same contract the app tier keeps), and the step tier's
-// series must land under its own prefix.
+// the result (the same contract the app tier keeps).
 func TestMeteredRunIdentical(t *testing.T) {
 	plat := testPlatforms()["clean"]
 	for _, id := range stepModels {
 		plain := stepsim.Simulate(stepsim.Config{Model: id, Config: plat}, 3)
-		reg := metrics.New()
-		metered := stepsim.Simulate(stepsim.Config{Model: id, Config: plat, Metrics: reg}, 3)
+		metered := stepsim.Simulate(stepsim.Config{Model: id, Config: plat, Metrics: metrics.New()}, 3)
 		if plain != metered {
 			t.Errorf("%v: metering changed the result\nplain:   %+v\nmetered: %+v", id, plain, metered)
 		}
-		snap := reg.Snapshot(metered.WallSeconds)
-		prefix := "stepsim." + id.String() + "."
-		found := false
-		for name := range snap.Histograms {
-			if strings.HasPrefix(name, prefix) {
-				found = true
-				break
+	}
+}
+
+// TestMeteredSnapshotMatchesApp: a metered step run records exactly the
+// series crmodel records for the same run — same names, same samples,
+// same gauges and counters, failure-stream and fault-injector series
+// included — so every metered entry point can run on the step tier
+// without moving a snapshot.
+func TestMeteredSnapshotMatchesApp(t *testing.T) {
+	plats := testPlatforms()
+	chimera, err := workload.ByName("CHIMERA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plats["CHIMERA/Titan"] = platform.Config{App: chimera, System: failure.Titan}
+	for name, plat := range plats {
+		for _, id := range policy.All() {
+			for seed := uint64(0); seed < 8; seed++ {
+				appReg, stepReg := metrics.New(), metrics.New()
+				app := crmodel.Simulate(crmodel.Config{Model: id, Config: plat, Metrics: appReg}, seed)
+				step := stepsim.Simulate(stepsim.Config{Model: id, Config: plat, Metrics: stepReg}, seed)
+				if app != step {
+					t.Fatalf("%s/%v/seed %d: metered results differ", name, id, seed)
+				}
+				want, got := appReg.Snapshot(app.WallSeconds), stepReg.Snapshot(step.WallSeconds)
+				if got.Empty() {
+					t.Fatalf("%s/%v/seed %d: empty step snapshot", name, id, seed)
+				}
+				if !reflect.DeepEqual(got.Counters, want.Counters) {
+					t.Errorf("%s/%v/seed %d: counters differ\nstep: %v\napp:  %v", name, id, seed, got.Counters, want.Counters)
+				}
+				if !reflect.DeepEqual(got.Gauges, want.Gauges) {
+					t.Errorf("%s/%v/seed %d: gauges differ\nstep: %v\napp:  %v", name, id, seed, got.Gauges, want.Gauges)
+				}
+				if !reflect.DeepEqual(got.Histograms, want.Histograms) {
+					t.Errorf("%s/%v/seed %d: histograms differ", name, id, seed)
+				}
 			}
-		}
-		if !found {
-			t.Errorf("%v: no %q series in the metered snapshot", id, prefix)
 		}
 	}
 }
