@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test race vet fmt-check errcheck crossval golden golden-degraded golden-scenario golden-contention golden-machine-degraded golden-update spec-validate cachepass race-machine perfbench-test bench bench-step bench-step-smoke bench-smoke ci
+.PHONY: build test race perf-gates vet fmt-check errcheck crossval golden golden-degraded golden-scenario golden-contention golden-machine-degraded golden-update spec-validate cachepass race-machine perfbench-test bench bench-step bench-step-smoke bench-smoke ci
 
 build:
 	$(GO) build ./...
@@ -11,6 +11,14 @@ test:
 
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# perf-gates runs the same-binary performance gates without the race
+# detector: the allocation pins (`//go:build !race` files — the race
+# detector makes sync.Pool drop released items, so `make race` compiles
+# them out), the step-vs-app per-run headroom, and the O(1) cluster
+# bookkeeping check.
+perf-gates:
+	$(GO) test -count=1 -run 'AllocFree|Headroom|IndependentOf' ./...
 
 vet:
 	$(GO) vet ./...
@@ -96,10 +104,11 @@ bench:
 # step engine's hot-path/interrupt micro-benches next to the process
 # engine's equivalents (the events/sec ratio is the committed BENCH_PR7
 # claim), plus the episode-machinery pair behind the step-tier default
-# for P1/P2 (the commits/sec ratio is the committed BENCH_PR8 claim)
-# and the end-to-end P1/P2 step benches.
+# for P1/P2 (the commits/sec ratio is the committed BENCH_PR8 claim),
+# the end-to-end P1/P2 step benches, and one step run per Table I app ×
+# model on Titan with its allocations.
 bench-step:
-	$(GO) test -bench 'StepHotPath|StepInterrupt|StepEpisodeDrain|StepSimulateP' -run=^$$ ./internal/stepsim
+	$(GO) test -bench 'StepHotPath|StepInterrupt|StepEpisodeDrain|StepSimulateP|StepSimulateTableI' -run=^$$ ./internal/stepsim
 	$(GO) test -bench 'WaitHotPath|InterruptHeavy' -run=^$$ ./internal/sim
 	$(GO) test -bench 'EpisodeProcess' -run=^$$ ./internal/pckpt
 
@@ -108,7 +117,7 @@ bench-step:
 # once each, so the headroom pairs cannot rot unnoticed between
 # baseline regenerations.
 bench-step-smoke:
-	$(GO) test -bench 'StepHotPath|StepInterrupt|StepEpisodeDrain|StepSimulateP' -benchtime=1x -run=^$$ ./internal/stepsim
+	$(GO) test -bench 'StepHotPath|StepInterrupt|StepEpisodeDrain|StepSimulateP|StepSimulateTableI' -benchtime=1x -run=^$$ ./internal/stepsim
 	$(GO) test -bench 'WaitHotPath|InterruptHeavy' -benchtime=1x -run=^$$ ./internal/sim
 	$(GO) test -bench 'EpisodeProcess' -benchtime=1x -run=^$$ ./internal/pckpt
 
@@ -142,7 +151,8 @@ errcheck:
 # validation, the FULL race-enabled test suite (no -short: the
 # worker-determinism sweeps and injection bit-identity tests must run
 # raced — they are exactly the tests that catch cross-worker
-# nondeterminism), a dedicated race pass over the tier cross-validation
+# nondeterminism), the non-race performance gates (allocation pins and
+# same-binary headroom, which the race build cannot run), a dedicated race pass over the tier cross-validation
 # (all three tiers), a focused race pass over the step tier's
 # bit-identity matrix — all five models, episode machinery included —
 # a focused race pass over the shared-machine arbiter/admission layer,
@@ -158,6 +168,7 @@ ci:
 	$(GO) build ./...
 	$(MAKE) spec-validate
 	$(MAKE) race
+	$(MAKE) perf-gates
 	$(GO) test -run TestCrossValidation -race -timeout 30m ./...
 	$(GO) test -run TestCrossValidationStep -race -timeout 30m ./internal/stepsim
 	$(MAKE) race-machine

@@ -29,6 +29,11 @@ type flow struct {
 	rate  float64
 	done  func()
 	timer stepsim.Timer
+	// onComplete and onEscalate are the flow's completion and watchdog
+	// timer callbacks, bound once when the flow is first allocated so
+	// repricing schedules them without allocating. They survive recycle.
+	onComplete func()
+	onEscalate func()
 	// queued marks a drain parked for a free drain slot; suspended marks
 	// a flow frozen by its app's interrupt handling. Neither holds
 	// bandwidth.
@@ -59,6 +64,9 @@ type flow struct {
 //
 // Completion times are engine timers rescheduled on each repricing, so
 // the whole machine stays a deterministic single-goroutine simulation.
+// A finished or cancelled flow holds no timer, so its struct — timer
+// callbacks bound once — is recycled for the next flow; repricing only
+// reschedules them.
 type BandwidthArbiter struct {
 	eng      *stepsim.Engine
 	ceiling  float64
@@ -91,6 +99,8 @@ type BandwidthArbiter struct {
 	// escScratch is the escalated lane's.
 	scratch    []*flow
 	escScratch []*flow
+	// free holds recycled flows for StartFlow.
+	free []*flow
 }
 
 // NewBandwidthArbiter creates the arbiter for a machine whose PFS
@@ -245,14 +255,13 @@ func (b *BandwidthArbiter) StartFlow(app int, class stepsim.WriteClass, volumeGB
 		panic(fmt.Sprintf("machine: flow with non-positive volume %g GB / solo %g s", volumeGB, soloSeconds))
 	}
 	b.nextID++
-	f := &flow{
-		id:       b.nextID,
-		app:      app,
-		class:    class,
-		remainGB: volumeGB,
-		soloRate: volumeGB / soloSeconds,
-		done:     done,
-	}
+	f := b.newFlow()
+	f.id = b.nextID
+	f.app = app
+	f.class = class
+	f.remainGB = volumeGB
+	f.soloRate = volumeGB / soloSeconds
+	f.done = done
 	b.byID[f.id] = f
 	b.grow(app)
 	if class == stepsim.ClassDrain && b.inDrain >= b.maxDrain {
@@ -263,6 +272,30 @@ func (b *BandwidthArbiter) StartFlow(app int, class stepsim.WriteClass, volumeGB
 	b.activate(f)
 	b.reprice()
 	return f.id
+}
+
+// newFlow takes a recycled flow, or allocates one and binds its timer
+// callbacks.
+func (b *BandwidthArbiter) newFlow() *flow {
+	if n := len(b.free); n > 0 {
+		f := b.free[n-1]
+		b.free[n-1] = nil
+		b.free = b.free[:n-1]
+		return f
+	}
+	f := &flow{}
+	f.onComplete = func() { b.complete(f) }
+	f.onEscalate = func() { b.escalate(f) }
+	return f
+}
+
+// recycle zeroes a flow that has left byID — and so holds no timer, no
+// slot, and no place in the active set or drain queue — keeping its
+// bound callbacks, and returns it for reuse. Flows are addressed only
+// by ID, which is never reissued, so a stale ID cannot reach it.
+func (b *BandwidthArbiter) recycle(f *flow) {
+	*f = flow{onComplete: f.onComplete, onEscalate: f.onEscalate}
+	b.free = append(b.free, f)
 }
 
 // SuspendFlow implements stepsim.Arbiter: the flow's remaining volume is
@@ -307,15 +340,16 @@ func (b *BandwidthArbiter) CancelFlow(id stepsim.FlowID) {
 		return
 	}
 	delete(b.byID, id)
-	if f.suspended {
-		return // held no slot, no bandwidth, no timer
-	}
-	if f.queued {
+	switch {
+	case f.suspended:
+		// held no slot, no bandwidth, no timer
+	case f.queued:
 		b.unqueue(f)
-		return
+	default:
+		b.deactivate(f)
+		b.reprice()
 	}
-	b.deactivate(f)
-	b.reprice()
+	b.recycle(f)
 }
 
 // complete fires when a flow's completion timer expires: the flow's
@@ -325,7 +359,9 @@ func (b *BandwidthArbiter) complete(f *flow) {
 	delete(b.byID, f.id)
 	b.deactivate(f)
 	b.reprice()
-	f.done()
+	done := f.done
+	b.recycle(f)
+	done()
 }
 
 // activate admits f to the allocated set (taking a drain slot if it is a
@@ -535,8 +571,7 @@ func (b *BandwidthArbiter) reprice() {
 				f.starved = true
 				f.starvedAt = t
 				if b.escBound > 0 && !f.escalated {
-					f := f
-					f.escTimer = b.eng.AfterCancel(b.escBound, "starve-escalate", func() { b.escalate(f) })
+					f.escTimer = b.eng.AfterCancel(b.escBound, "starve-escalate", f.onEscalate)
 				}
 			}
 		} else if f.starved {
@@ -550,8 +585,7 @@ func (b *BandwidthArbiter) reprice() {
 		b.eng.Cancel(f.timer)
 		f.timer = stepsim.Timer{}
 		if f.rate > 0 {
-			f := f
-			f.timer = b.eng.AfterCancel(f.remainGB/f.rate, "arbiter", func() { b.complete(f) })
+			f.timer = b.eng.AfterCancel(f.remainGB/f.rate, "arbiter", f.onComplete)
 		}
 	}
 }

@@ -262,10 +262,13 @@ func (s *State) CommitBB(progress float64) { s.bbProgress = progress }
 func (s *State) CommitPFS(progress float64) bool {
 	if progress > s.pfsProgress {
 		if s.pfsProgress >= 0 {
-			s.pfsGens = append(s.pfsGens, s.pfsProgress)
-			if len(s.pfsGens) > maxPFSGens {
-				s.pfsGens = s.pfsGens[1:]
+			if len(s.pfsGens) == maxPFSGens {
+				// Drop the oldest in place: re-slicing past it would walk
+				// the slice off its backing array and reallocate every few
+				// commits.
+				s.pfsGens = s.pfsGens[:copy(s.pfsGens, s.pfsGens[1:])]
 			}
+			s.pfsGens = append(s.pfsGens, s.pfsProgress)
 		}
 		s.pfsProgress = progress
 		return true

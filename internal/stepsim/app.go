@@ -102,8 +102,10 @@ type appSim struct {
 	// finishes (the shared-machine completion hook).
 	onDone func(stats.RunResult)
 	// drainFlows tracks in-flight drain transfers at the arbiter so a
-	// finished (or truncated) job withdraws them from the machine.
-	drainFlows []FlowID
+	// finished (or truncated) job withdraws them from the machine;
+	// freeDrains holds completed records for reuse.
+	drainFlows []*flowDrain
+	freeDrains []*flowDrain
 	// blockFlows tracks the arbitered flows the app is parked on —
 	// including suspended outer flows of nested waits — so an aborted
 	// tenant withdraws them from the machine.
@@ -120,7 +122,7 @@ type appSim struct {
 	curOCI   float64
 	st       *policy.State
 
-	pending      []failure.Event
+	pending      fifo[failure.Event]
 	safeguarding bool
 	// vulnBuf is the reused episode-width scratch buffer (metered runs
 	// only): cluster.AppendVulnerable fills it without allocating.
@@ -137,8 +139,110 @@ type appSim struct {
 	blockedCont      func(interrupted bool)
 	interruptPending bool
 
+	// The hot chain's continuations are method values bound once in
+	// StartApp, so scheduling one allocates nothing; the state each
+	// carries across its event lives in the fields beside it.
+	//
+	// wakeAt is the local deadline of the single pending wake (wakeFn);
+	// interruptFn resumes the app with interrupted=true.
+	wakeAt      float64
+	wakeFn      func()
+	interruptFn func()
+	// chunkTarget and chunkStart are the compute chunk's progress target
+	// and the local time its current wait began.
+	chunkTarget     float64
+	chunkStart      float64
+	computeWokeFn   func(interrupted bool)
+	computeResumeFn func()
+	// frames is the stack of open blocked waits: a wait interrupted by an
+	// event runs the event's handlers, which may open and close nested
+	// waits before the interrupted one resumes — strictly LIFO, so the
+	// top frame is always the wait being woken or resumed.
+	frames          []waitFrame
+	blockedWokeFn   func(interrupted bool)
+	blockedResumeFn func()
+	// bbBegan is when the current burst-buffer write started.
+	bbBegan     float64
+	bbWrittenFn func(ok bool)
+	// drains holds the in-flight solo drains. Every solo drain lasts
+	// plat.Drain, so they complete in the order they were scheduled and
+	// drainFn always serves the head.
+	drains  fifo[soloDrain]
+	drainFn func()
+	// injEv and injAt are the injector's next event and its local
+	// delivery time (injectFn wakes the injector for it).
+	injEv    failure.Event
+	injAt    float64
+	injectFn func()
+
 	met policy.RunMetrics
 	res stats.RunResult
+}
+
+// waitFrame is one open blocked wait: the epoch it started in (a
+// failure that moves the epoch voids it), the time still owed, when its
+// current wait began, the overhead bucket it accrues into, and its
+// continuation.
+type waitFrame struct {
+	epoch     int
+	remaining float64
+	start     float64
+	bucket    *float64
+	k         func(ok bool)
+}
+
+// soloDrain is one in-flight drain on a solo run: the progress it
+// captured, its drain generation, and its local completion time.
+type soloDrain struct {
+	captured float64
+	gen      int
+	deadline float64
+}
+
+// flowDrain is one in-flight drain at the arbiter: its flow, the
+// progress it captured, and its drain generation. A completed record is
+// recycled together with done, its completion callback, which is bound
+// once when the record is first allocated.
+type flowDrain struct {
+	id       FlowID
+	captured float64
+	gen      int
+	done     func()
+}
+
+// fifo is a first-in first-out queue that reuses one backing array in
+// steady state: it rewinds to the start of the array whenever it
+// empties, and a push that reaches the array's end while at least half
+// of it is dead head space shifts the live entries down instead of
+// growing — so even a queue that never empties (drains that outlast a
+// checkpoint cycle) stays bounded.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+func (q *fifo[T]) push(v T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && 2*q.head >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf = q.buf[:n]
+		q.head = 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	}
+	return v
 }
 
 // now returns the app-local simulation time: seconds since the app
@@ -158,33 +262,28 @@ func (a *appSim) clockTo(local float64) {
 // completions), which have no locally-computed deadline.
 func (a *appSim) syncClock() { a.clockTo(a.eng.Now() - a.t0) }
 
-// sched runs fn after delay seconds of app-local time. The deadline is
-// computed in local arithmetic — now()+delay, the exact float ops a
-// solo run performs — and the local clock advances to that deadline
-// when the event fires, so local arithmetic never round-trips through
-// the absolute clock (which would lose last-ulp bits and let locally
-// tied deadlines split). The engine-time conversion is one t0 addition.
-func (a *appSim) sched(delay float64, name string, fn func()) {
+// schedBound schedules fn after delay seconds of app-local time and
+// returns the local deadline, which fn must pass to clockTo when it
+// fires. The deadline is computed in local arithmetic — now()+delay, the
+// exact float ops a solo run performs — so local arithmetic never
+// round-trips through the absolute clock (which would lose last-ulp bits
+// and let locally tied deadlines split). The engine-time conversion is
+// one t0 addition. fn is a bound continuation: nothing is allocated.
+func (a *appSim) schedBound(delay float64, name string, fn func()) (float64, Timer) {
 	if delay == 0 {
 		// An immediate event joins the current timestamp batch; the t0
 		// round-trip could land an ulp past it.
-		a.eng.AtNamed(0, name, fn)
-		return
+		return a.now(), a.eng.AfterCancel(0, name, fn)
 	}
 	deadline := a.now() + delay
-	a.eng.AtTimeNamed(a.t0+deadline, name, func() {
-		a.clockTo(deadline)
-		fn()
-	})
+	return deadline, a.eng.AfterCancelAt(a.t0+deadline, name, fn)
 }
 
-// schedTimer is sched returning a cancellable Timer.
-func (a *appSim) schedTimer(delay float64, name string, fn func()) Timer {
-	if delay == 0 {
-		return a.eng.AfterCancel(0, name, fn)
-	}
-	deadline := a.now() + delay
-	return a.eng.AfterCancelAt(a.t0+deadline, name, func() {
+// sched is schedBound for a one-off closure: it wraps fn to advance the
+// local clock to the deadline first.
+func (a *appSim) sched(delay float64, name string, fn func()) {
+	var deadline float64
+	deadline, _ = a.schedBound(delay, name, func() {
 		a.clockTo(deadline)
 		fn()
 	})
@@ -275,8 +374,8 @@ func (h *AppHandle) Abort() stats.RunResult {
 		a.arb.CancelFlow(id)
 	}
 	a.blockFlows = nil
-	for _, id := range a.drainFlows {
-		a.arb.CancelFlow(id)
+	for _, d := range a.drainFlows {
+		a.arb.CancelFlow(d.id)
 	}
 	a.drainFlows = nil
 	a.res.Truncated = true
@@ -312,6 +411,15 @@ func StartApp(eng *Engine, cfg Config, seed uint64, opts AppOptions) *AppHandle 
 		sigma:  cfg.Sigma(),
 		st:     policy.NewState(),
 	}
+	a.wakeFn = a.wake
+	a.interruptFn = a.interruptWake
+	a.computeWokeFn = a.computeWoke
+	a.computeResumeFn = a.computeResume
+	a.blockedWokeFn = a.blockedWoke
+	a.blockedResumeFn = a.blockedResume
+	a.bbWrittenFn = a.bbWritten
+	a.drainFn = a.soloDrainDone
+	a.injectFn = a.injectWake
 	a.pricing = pckpt.NewEpisodePricing(cfg.IO, a.plat.PerNodeGB)
 	a.met = policy.NewRunMetrics(cfg.Metrics, cfg.Model)
 	if cfg.Metrics != nil {
@@ -338,9 +446,13 @@ func (a *appSim) wait(d float64, cont func(interrupted bool)) {
 		panic(fmt.Sprintf("stepsim: wait with negative duration %g", d))
 	}
 	a.blockedCont = cont
-	a.blocked = a.schedTimer(d, "app", func() {
-		a.resume()(false)
-	})
+	a.wakeAt, a.blocked = a.schedBound(d, "app", a.wakeFn)
+}
+
+// wake is the pending wait's expiry.
+func (a *appSim) wake() {
+	a.clockTo(a.wakeAt)
+	a.resume()(false)
 }
 
 // resume clears the parked state and returns the pending continuation,
@@ -367,12 +479,15 @@ func (a *appSim) interrupt() {
 	a.interruptPending = true
 	a.eng.Cancel(a.blocked)
 	a.blocked = Timer{}
-	a.sched(0, "app", func() {
-		if a.appDone {
-			return // aborted between delivery and wake-up
-		}
-		a.resume()(true)
-	})
+	a.eng.AtNamed(0, "app", a.interruptFn)
+}
+
+// interruptWake resumes the app at the interrupt time.
+func (a *appSim) interruptWake() {
+	if a.appDone {
+		return // aborted between delivery and wake-up
+	}
+	a.resume()(true)
 }
 
 // refreshOCI re-derives the checkpoint interval from the current failure
@@ -393,16 +508,19 @@ func (a *appSim) start() {
 
 func (a *appSim) runLoop() {
 	if a.progress < a.plat.ComputeSeconds && !a.res.Truncated {
-		a.computeChunk(func() {
-			if a.progress >= a.plat.ComputeSeconds || a.res.Truncated {
-				a.finish()
-				return
-			}
-			a.bbCheckpoint(a.runLoop)
-		})
+		a.computeChunk()
 		return
 	}
 	a.finish()
+}
+
+// computed ends a compute chunk: finish the job, or checkpoint and loop.
+func (a *appSim) computed() {
+	if a.progress >= a.plat.ComputeSeconds || a.res.Truncated {
+		a.finish()
+		return
+	}
+	a.bbCheckpoint()
 }
 
 // finish completes the application process — normally or truncated; the
@@ -418,8 +536,8 @@ func (a *appSim) finish() {
 	a.appDone = true
 	// A departed job withdraws its in-flight drains from the machine —
 	// their bandwidth and drain slots return to the remaining tenants.
-	for _, id := range a.drainFlows {
-		a.arb.CancelFlow(id)
+	for _, d := range a.drainFlows {
+		a.arb.CancelFlow(d.id)
 	}
 	a.drainFlows = nil
 	if a.onDone != nil {
@@ -428,160 +546,214 @@ func (a *appSim) finish() {
 }
 
 // computeChunk advances the application by one checkpoint interval,
-// absorbing interrupts, then runs k.
-func (a *appSim) computeChunk(k func()) {
+// absorbing interrupts, then runs computed.
+func (a *appSim) computeChunk() {
 	a.refreshOCI()
-	target := math.Min(a.progress+a.curOCI, a.plat.ComputeSeconds)
+	a.chunkTarget = math.Min(a.progress+a.curOCI, a.plat.ComputeSeconds)
 	if a.cfg.Trace != nil {
-		a.trace(trace.CycleStart, -1, fmt.Sprintf("interval=%.0fs", target-a.progress))
+		a.trace(trace.CycleStart, -1, fmt.Sprintf("interval=%.0fs", a.chunkTarget-a.progress))
 	}
-	// Mirrors crmodel's residual snap: the float sums can stall a hair
-	// short of the target once simulated time can no longer resolve the
-	// residual; treat anything below a microsecond as done and snap.
-	// Without the snap, a rollback that lands progress just short of
-	// ComputeSeconds livelocks the run: compute 0s, checkpoint, forever.
-	var step func()
-	step = func() {
-		if target-a.progress <= 1e-6 {
-			a.progress = target
-			k()
-			return
-		}
-		start := a.now()
-		a.wait(target-a.progress, func(interrupted bool) {
-			a.progress += a.now() - start
-			if !interrupted {
-				a.progress = target
-				k()
-				return
-			}
-			a.handleEvents(func() {
-				if a.res.Truncated {
-					k()
-					return
-				}
-				if a.st.TakeRescheduled() {
-					// A proactive action committed a full checkpoint;
-					// re-base the periodic schedule on the fresh interval.
-					a.refreshOCI()
-					target = math.Min(a.progress+a.curOCI, a.plat.ComputeSeconds)
-				}
-				step()
-			})
-		})
+	a.computeStep()
+}
+
+// computeStep waits out the rest of the chunk. It mirrors crmodel's
+// residual snap: the float sums can stall a hair short of the target
+// once simulated time can no longer resolve the residual; treat anything
+// below a microsecond as done and snap. Without the snap, a rollback
+// that lands progress just short of ComputeSeconds livelocks the run:
+// compute 0s, checkpoint, forever.
+func (a *appSim) computeStep() {
+	if a.chunkTarget-a.progress <= 1e-6 {
+		a.progress = a.chunkTarget
+		a.computed()
+		return
 	}
-	step()
+	a.chunkStart = a.now()
+	a.wait(a.chunkTarget-a.progress, a.computeWokeFn)
+}
+
+// computeWoke credits the computed time; an interrupt handles the
+// pending events before the chunk resumes.
+func (a *appSim) computeWoke(interrupted bool) {
+	a.progress += a.now() - a.chunkStart
+	if !interrupted {
+		a.progress = a.chunkTarget
+		a.computed()
+		return
+	}
+	a.handleEvents(a.computeResumeFn)
+}
+
+// computeResume continues the chunk after its events are handled.
+func (a *appSim) computeResume() {
+	if a.res.Truncated {
+		a.computed()
+		return
+	}
+	if a.st.TakeRescheduled() {
+		// A proactive action committed a full checkpoint; re-base the
+		// periodic schedule on the fresh interval.
+		a.refreshOCI()
+		a.chunkTarget = math.Min(a.progress+a.curOCI, a.plat.ComputeSeconds)
+	}
+	a.computeStep()
 }
 
 // bbCheckpoint performs the synchronous burst-buffer write of a periodic
-// checkpoint, launches the asynchronous PFS drain, then runs k.
-func (a *appSim) bbCheckpoint(k func()) {
-	began := a.now()
-	a.blockedWait(a.plat.BBWrite, &a.res.Overheads.Checkpoint, func(ok bool) {
-		if !ok {
-			// A failure voided the write and rolled progress back; resume
-			// computing, the next cycle will checkpoint the redone state.
-			a.met.BBAborted.Inc()
-			k()
-			return
-		}
-		a.met.BBWrite.Observe(a.now() - began)
-		if a.inj.BBWriteFails() {
-			a.res.BBWriteFailures++
-			a.trace(trace.BBWrite, -1, "write failed (injected)")
-			k()
-			return
-		}
-		a.res.Checkpoints++
-		a.st.CommitBB(a.progress)
-		if a.inj.CorruptCommit() {
-			a.st.MarkCorrupt(a.progress)
-		}
-		a.trace(trace.BBWrite, -1, "")
-		a.cl.RecordBBCheckpointAll(a.progress)
-		captured := a.progress
-		gen, depth := a.st.BeginDrain()
-		a.met.DrainDepth.Set(a.now(), float64(depth))
-		a.startDrain(captured, gen)
-		k()
-	})
+// checkpoint; bbWritten launches the asynchronous PFS drain and loops.
+func (a *appSim) bbCheckpoint() {
+	a.bbBegan = a.now()
+	a.blockedWait(a.plat.BBWrite, &a.res.Overheads.Checkpoint, a.bbWrittenFn)
+}
+
+// bbWritten ends the burst-buffer write: unless a failure voided it or
+// the injector tore it, the checkpoint commits and its drain starts;
+// either way the run loops.
+func (a *appSim) bbWritten(ok bool) {
+	if !ok {
+		// A failure voided the write and rolled progress back; resume
+		// computing, the next cycle will checkpoint the redone state.
+		a.met.BBAborted.Inc()
+		a.runLoop()
+		return
+	}
+	a.met.BBWrite.Observe(a.now() - a.bbBegan)
+	if a.inj.BBWriteFails() {
+		a.res.BBWriteFailures++
+		a.trace(trace.BBWrite, -1, "write failed (injected)")
+		a.runLoop()
+		return
+	}
+	a.res.Checkpoints++
+	a.st.CommitBB(a.progress)
+	if a.inj.CorruptCommit() {
+		a.st.MarkCorrupt(a.progress)
+	}
+	a.trace(trace.BBWrite, -1, "")
+	a.cl.RecordBBCheckpointAll(a.progress)
+	captured := a.progress
+	gen, depth := a.st.BeginDrain()
+	a.met.DrainDepth.Set(a.now(), float64(depth))
+	a.startDrain(captured, gen)
+	a.runLoop()
 }
 
 // startDrain launches the asynchronous BB→PFS drain: a fixed-duration
-// callback solo, an arbitered flow (contending for drain slots and
+// event solo, an arbitered flow (contending for drain slots and
 // fair-share bandwidth) on a shared machine.
 func (a *appSim) startDrain(captured float64, gen int) {
-	var fid FlowID
-	done := func() {
-		if a.arb != nil {
-			a.dropDrainFlow(fid)
-		}
-		depth, current := a.st.FinishDrain(gen)
-		a.met.DrainDepth.Set(a.now(), float64(depth))
-		// The drain completes unless a newer checkpoint superseded it.
-		if current {
-			if a.inj.PFSWriteFails() {
-				a.res.PFSWriteFailures++
-				a.trace(trace.DrainDone, -1, "drain failed (injected)")
-				return
-			}
-			a.commitFullPFS(captured)
-			a.trace(trace.DrainDone, -1, "")
-		}
-	}
 	if a.arb == nil {
-		a.sched(a.plat.Drain, "drain", done)
+		deadline, _ := a.schedBound(a.plat.Drain, "drain", a.drainFn)
+		a.drains.push(soloDrain{captured: captured, gen: gen, deadline: deadline})
 		return
 	}
-	fid = a.arb.StartFlow(a.appIdx, ClassDrain, float64(a.plat.Nodes)*a.plat.PerNodeGB, a.plat.Drain, func() {
-		a.syncClock()
-		done()
-	})
-	a.drainFlows = append(a.drainFlows, fid)
+	d := a.newFlowDrain()
+	d.captured, d.gen = captured, gen
+	d.id = a.arb.StartFlow(a.appIdx, ClassDrain, float64(a.plat.Nodes)*a.plat.PerNodeGB, a.plat.Drain, d.done)
+	a.drainFlows = append(a.drainFlows, d)
 }
 
-// dropDrainFlow forgets a completed drain's flow handle.
-func (a *appSim) dropDrainFlow(fid FlowID) {
-	for i, id := range a.drainFlows {
-		if id == fid {
+// newFlowDrain takes a recycled drain record, or allocates one and
+// binds its completion.
+func (a *appSim) newFlowDrain() *flowDrain {
+	if n := len(a.freeDrains); n > 0 {
+		d := a.freeDrains[n-1]
+		a.freeDrains = a.freeDrains[:n-1]
+		return d
+	}
+	d := &flowDrain{}
+	d.done = func() { a.flowDrainDone(d) }
+	return d
+}
+
+// soloDrainDone completes the oldest solo drain.
+func (a *appSim) soloDrainDone() {
+	d := a.drains.pop()
+	a.clockTo(d.deadline)
+	a.drainDone(d.captured, d.gen)
+}
+
+// flowDrainDone completes the arbitered drain d. Its flow has left the
+// arbiter, so the record is free for the next drain.
+func (a *appSim) flowDrainDone(d *flowDrain) {
+	a.syncClock()
+	for i, e := range a.drainFlows {
+		if e == d {
 			a.drainFlows = append(a.drainFlows[:i], a.drainFlows[i+1:]...)
-			return
+			break
 		}
 	}
+	a.freeDrains = append(a.freeDrains, d)
+	a.drainDone(d.captured, d.gen)
+}
+
+// drainDone lands a drain of the checkpoint captured at progress
+// captured, unless a newer checkpoint superseded it.
+func (a *appSim) drainDone(captured float64, gen int) {
+	depth, current := a.st.FinishDrain(gen)
+	a.met.DrainDepth.Set(a.now(), float64(depth))
+	if !current {
+		return
+	}
+	if a.inj.PFSWriteFails() {
+		a.res.PFSWriteFailures++
+		a.trace(trace.DrainDone, -1, "drain failed (injected)")
+		return
+	}
+	a.commitFullPFS(captured)
+	a.trace(trace.DrainDone, -1, "")
 }
 
 // blockedWait blocks the application for dur seconds, accounting the
 // elapsed time into bucket and processing any events that interrupt it.
 // k receives false if a failure voided the activity before dur fully
-// elapsed, true on completion.
+// elapsed, true on completion. The wait's state is a frame on a.frames.
 func (a *appSim) blockedWait(dur float64, bucket *float64, k func(ok bool)) {
-	epoch := a.st.Epoch()
-	remaining := dur
-	var step func()
-	step = func() {
-		if remaining <= 0 {
-			k(true)
-			return
-		}
-		start := a.now()
-		a.wait(remaining, func(interrupted bool) {
-			elapsed := a.now() - start
-			remaining -= elapsed
-			*bucket += elapsed
-			if !interrupted {
-				k(true)
-				return
-			}
-			a.handleEvents(func() {
-				if a.st.Epoch() != epoch {
-					k(false)
-					return
-				}
-				step()
-			})
-		})
+	a.frames = append(a.frames, waitFrame{epoch: a.st.Epoch(), remaining: dur, bucket: bucket, k: k})
+	a.blockedStep()
+}
+
+// blockedStep parks the top frame for its remaining time.
+func (a *appSim) blockedStep() {
+	f := &a.frames[len(a.frames)-1]
+	if f.remaining <= 0 {
+		a.popFrame(true)
+		return
 	}
-	step()
+	f.start = a.now()
+	a.wait(f.remaining, a.blockedWokeFn)
+}
+
+// blockedWoke accrues the top frame's elapsed time; an interrupt handles
+// the pending events before the wait resumes.
+func (a *appSim) blockedWoke(interrupted bool) {
+	f := &a.frames[len(a.frames)-1]
+	elapsed := a.now() - f.start
+	f.remaining -= elapsed
+	*f.bucket += elapsed
+	if !interrupted {
+		a.popFrame(true)
+		return
+	}
+	a.handleEvents(a.blockedResumeFn)
+}
+
+// blockedResume continues the top frame, unless a failure voided it.
+func (a *appSim) blockedResume() {
+	if a.st.Epoch() != a.frames[len(a.frames)-1].epoch {
+		a.popFrame(false)
+		return
+	}
+	a.blockedStep()
+}
+
+// popFrame closes the top frame and runs its continuation.
+func (a *appSim) popFrame(ok bool) {
+	n := len(a.frames) - 1
+	k := a.frames[n].k
+	a.frames[n] = waitFrame{}
+	a.frames = a.frames[:n]
+	k(ok)
 }
 
 // flowWait is blockedWait for an arbitered PFS transfer: the app parks
@@ -642,12 +814,11 @@ func (a *appSim) dropBlockFlow(fid FlowID) {
 // handleEvents drains the pending queue, then runs k. A truncated run
 // stops draining: the job is dead, the remaining events go nowhere.
 func (a *appSim) handleEvents(k func()) {
-	if len(a.pending) == 0 || a.res.Truncated {
+	if a.pending.len() == 0 || a.res.Truncated {
 		k()
 		return
 	}
-	ev := a.pending[0]
-	a.pending = a.pending[1:]
+	ev := a.pending.pop()
 	next := func() { a.handleEvents(k) }
 	switch ev.Kind {
 	case failure.KindPrediction, failure.KindSpurious:
@@ -1056,20 +1227,21 @@ func (a *appSim) injectLoop() {
 			return
 		}
 		if dt := ev.Time - a.now(); dt > 0 {
-			ev := ev
-			a.sched(dt, "injector", func() { a.injectResume(ev) })
+			a.injEv = ev
+			a.injAt, _ = a.schedBound(dt, "injector", a.injectFn)
 			return
 		}
 		a.deliver(ev)
 	}
 }
 
-// injectResume is the injector waking at a delivery time.
-func (a *appSim) injectResume(ev failure.Event) {
+// injectWake is the injector waking at a delivery time.
+func (a *appSim) injectWake() {
+	a.clockTo(a.injAt)
 	if a.appDone {
 		return
 	}
-	a.deliver(ev)
+	a.deliver(a.injEv)
 	a.injectLoop()
 }
 
@@ -1086,6 +1258,6 @@ func (a *appSim) deliver(ev failure.Event) {
 			return // model B ignores the predictor entirely
 		}
 	}
-	a.pending = append(a.pending, ev)
+	a.pending.push(ev)
 	a.interrupt()
 }

@@ -167,3 +167,25 @@ func BenchmarkStepSimulateP2(b *testing.B) {
 		stepsim.Simulate(cfg, uint64(i)+1)
 	}
 }
+
+// BenchmarkStepSimulateTableI runs one step-tier run per Table I app ×
+// model on Titan — the per-run cost sweeps actually pay, with its
+// allocations. POP and VULCAN make thousands of checkpoint cycles per
+// run; CHIMERA and XGC are large jobs with few.
+func BenchmarkStepSimulateTableI(b *testing.B) {
+	for _, name := range []string{"CHIMERA", "XGC", "POP", "VULCAN"} {
+		app, err := workload.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range policy.All() {
+			cfg := stepsim.Config{Model: m, Config: platform.Config{App: app, System: failure.Titan}}
+			b.Run(name+"/"+m.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					stepsim.Simulate(cfg, uint64(i)+1)
+				}
+			})
+		}
+	}
+}

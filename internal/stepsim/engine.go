@@ -6,15 +6,19 @@
 //
 // — over the same stable (time, seq) heap the process-based engine
 // (internal/sim) uses. There are no goroutines and no channels: an event
-// is a closure, dispatching one is a function call, and blocking code is
-// written in continuation-passing style (see app.go for the C/R port).
+// is a callback (a func value), dispatching one is a function call, and
+// blocking code is written in continuation-passing style. Scheduling
+// allocates nothing when the callback already exists: heap entries are
+// recycled, and the C/R port (app.go) binds its per-cycle continuations
+// once per run as method values whose state lives in the app's fields,
+// so a steady-state checkpoint cycle builds no closure at all.
 //
 // The engine reproduces internal/sim's scheduling semantics exactly:
 // simultaneous events fire in schedule order (heap seq tie-break),
 // cancellation is lazy with threshold compaction, scheduling into the
 // past panics, Run(until) advances the clock to the horizon, and an
 // armed watchdog kills livelocked runs with a diagnostic panic. A
-// consumer that schedules the same closures at the same logical points
+// consumer that schedules the same callbacks at the same logical points
 // as a process-based run therefore observes the identical event order —
 // which is what lets the step tier cross-validate bit-identically
 // against internal/crmodel (see stepsim_test.go).
@@ -33,7 +37,7 @@ import (
 	"pckpt/internal/queue"
 )
 
-// event is one heap entry: a closure to run at an absolute time.
+// event is one heap entry: a callback to run at an absolute time.
 // Cancelled entries stay in the heap and are skipped when popped, making
 // timer cancellation O(1).
 type event struct {
@@ -178,21 +182,12 @@ func (e *Engine) AfterCancel(delay float64, name string, fn func()) Timer {
 	return Timer{ev: ev}
 }
 
-// AtTimeNamed runs fn at absolute engine time at (clamped to now). An
-// offset-started app schedules every deadline this way — one uniform
-// t0+local rounding per event — so deadlines that tie in the app's
-// local clock still tie on the shared clock; re-deriving them from
-// eng.Now() at different moments would split such ties by an ulp and
-// reorder the run.
-func (e *Engine) AtTimeNamed(at float64, name string, fn func()) {
-	ev := e.newEvent()
-	ev.fn = fn
-	ev.name = name
-	e.schedule(math.Max(at, e.now), ev)
-}
-
 // AfterCancelAt is AfterCancel at an absolute engine time (clamped to
-// now).
+// now). An offset-started app schedules every deadline this way — one
+// uniform t0+local rounding per event — so deadlines that tie in the
+// app's local clock still tie on the shared clock; re-deriving them
+// from eng.Now() at different moments would split such ties by an ulp
+// and reorder the run.
 func (e *Engine) AfterCancelAt(at float64, name string, fn func()) Timer {
 	ev := e.newEvent()
 	ev.fn = fn
