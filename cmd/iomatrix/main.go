@@ -18,7 +18,7 @@ func main() {
 	)
 	flag.Parse()
 
-	io := iomodel.New(iomodel.DefaultSummit())
+	io := iomodel.Default()
 	switch {
 	case *single:
 		sizes := []float64{0.016, 0.064, 0.25, 1, 4, 16, 64}

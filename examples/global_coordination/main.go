@@ -16,7 +16,7 @@ import (
 )
 
 func main() {
-	io := iomodel.New(iomodel.DefaultSummit())
+	io := iomodel.Default()
 	cfg := globalview.Config{
 		Jobs: []globalview.Job{
 			{Name: "S3D-A", Nodes: 505, PerNodeGB: 40},

@@ -20,7 +20,7 @@ func main() {
 	cfg := pckpt.Config{
 		Nodes:     32,
 		PerNodeGB: 40, // S3D-like footprint: ≈3s prioritized write, θ≈9.6s
-		IO:        iomodel.New(iomodel.DefaultSummit()),
+		IO:        iomodel.Default(),
 		LM:        lm.Default(),
 		Hybrid:    true,
 	}

@@ -209,7 +209,10 @@ func configSeed(base uint64, label string) uint64 {
 // when possible, by simulation otherwise (metering into p.Metrics when
 // collection is on, and flushing the fresh aggregate back to the cache).
 // Metered or not, the configuration runs on the step tier with the app
-// tier sampled as a bit-identity cross-check (see SimulateSweepN).
+// tier sampled as a bit-identity cross-check (see SimulateSweepN). The
+// metered pass runs the step engine with metrics on rather than the sweep
+// tier's Simulate, so there the sampled seeds are re-run on the sweep
+// tier to audit it.
 func runConfig(p Params, cfg crmodel.Config, label string) *stats.Agg {
 	if p.Faults.Enabled() && !cfg.Faults.Enabled() {
 		cfg.Faults = p.Faults
@@ -223,14 +226,15 @@ func runConfig(p Params, cfg crmodel.Config, label string) *stats.Agg {
 	t := sweepTier()
 	var agg *stats.Agg
 	var snap *metrics.Snapshot
+	stride := p.crossCheckStride()
 	if p.Metrics == nil {
-		agg = SimulateTierN(t, cfg.Model, cfg.Config, p.Runs, seed, p.Workers)
+		agg = SimulateSweepN(t, cfg.Model, cfg.Config, p.Runs, seed, p.Workers, stride)
 	} else {
 		agg, snap = SimulateMeteredN(cfg.Model, cfg.Config, p.Runs, seed, p.Workers)
 		p.Metrics.Add(snap)
-	}
-	if stride := p.crossCheckStride(); stride > 0 {
-		crossCheckSampled(t, AppTier(), cfg.Model, cfg.Config, p.Runs, seed, stride)
+		if stride > 0 {
+			sampledRuns(t, cfg.Model, cfg.Config, p.Runs, seed, stride).crossCheck(t.Name, AppTier(), cfg.Model, cfg.Config, stride)
+		}
 	}
 	p.cachePut(key, agg, snap)
 	return agg

@@ -16,7 +16,7 @@ import (
 // increasingly as episode overlap grows.
 func GlobalView(p Params) Result {
 	p = p.withDefaults()
-	io := iomodel.New(iomodel.DefaultSummit())
+	io := iomodel.Default()
 	cfg := globalview.Config{
 		Jobs: []globalview.Job{
 			{Name: "S3D-A", Nodes: 505, PerNodeGB: 40},

@@ -76,7 +76,7 @@ func Fig2a(p Params) Result {
 
 // Fig2b renders the single-node bandwidth-vs-task-count curves.
 func Fig2b(p Params) Result {
-	io := iomodel.New(iomodel.DefaultSummit())
+	io := iomodel.Default()
 	sizes := []float64{0.016, 0.064, 0.25, 1, 4, 16, 64}
 	tasks := []int{1, 2, 4, 8, 16, 32, 42}
 	header := []string{"tasks\\GB"}
@@ -101,7 +101,7 @@ func Fig2b(p Params) Result {
 
 // Fig2c renders the weak-scaling performance matrix with a heat map.
 func Fig2c(p Params) Result {
-	io := iomodel.New(iomodel.DefaultSummit())
+	io := iomodel.Default()
 	mx := io.Matrix()
 	var b strings.Builder
 	b.WriteString(mx.Render())

@@ -126,7 +126,12 @@ func runTier(p Params, t Tier, id policy.ID, plat platform.Config, n int, baseSe
 // the sim watchdog killing a livelock — lands in the aggregate's
 // failed-run ledger instead of aborting the sweep.
 func SimulateTierN(t Tier, id policy.ID, plat platform.Config, n int, baseSeed uint64, workers int) *stats.Agg {
-	return simulatePool(t.Name, id, plat, n, baseSeed, workers, func(_ int, seed uint64) stats.RunResult {
+	return tierRuns(t, id, plat, n, baseSeed, workers).aggregate(t.Name, id, plat)
+}
+
+// tierRuns is SimulateTierN's pool pass, before aggregation.
+func tierRuns(t Tier, id policy.ID, plat platform.Config, n int, baseSeed uint64, workers int) pooled {
+	return simulatePool(n, baseSeed, workers, func(_ int, seed uint64) stats.RunResult {
 		return t.Simulate(id, plat, seed)
 	})
 }
@@ -138,12 +143,12 @@ func SimulateTierN(t Tier, id policy.ID, plat platform.Config, n int, baseSeed u
 // worker count. Failed runs contribute no snapshot.
 func SimulateMeteredN(id policy.ID, plat platform.Config, n int, baseSeed uint64, workers int) (*stats.Agg, *metrics.Snapshot) {
 	snaps := make([]*metrics.Snapshot, n)
-	agg := simulatePool(StepTier().Name, id, plat, n, baseSeed, workers, func(i int, seed uint64) stats.RunResult {
+	agg := simulatePool(n, baseSeed, workers, func(i int, seed uint64) stats.RunResult {
 		reg := metrics.New()
 		r := stepsim.Simulate(stepsim.Config{Model: id, Config: plat, Metrics: reg}, seed)
 		snaps[i] = reg.Snapshot(r.WallSeconds)
 		return r
-	})
+	}).aggregate(StepTier().Name, id, plat)
 	merged := &metrics.Snapshot{}
 	for _, s := range snaps {
 		merged.Merge(s)
@@ -151,27 +156,27 @@ func SimulateMeteredN(id policy.ID, plat platform.Config, n int, baseSeed uint64
 	return agg, merged
 }
 
-// simulatePool is the worker pool behind both runners: run(i, seed)
-// executes seed index i under a recover guard, results land in per-index
-// slots, and the aggregate is built in seed order, so the only
-// coordination is the work channel and the final WaitGroup.
-func simulatePool(tier string, id policy.ID, plat platform.Config, n int, baseSeed uint64, workers int, run func(i int, seed uint64) stats.RunResult) *stats.Agg {
+// pooled is one pool pass: per seed index i (seed
+// crmodel.RunSeed(baseSeed, i)), the run's result, or the panic that
+// ended it.
+type pooled struct {
+	baseSeed uint64
+	results  []stats.RunResult
+	fails    []string
+}
+
+// simulatePool is the worker pool behind every runner: run(i, seed)
+// executes seed index i under a recover guard and results land in
+// per-index slots, so the only coordination is the work channel and the
+// final WaitGroup.
+func simulatePool(n int, baseSeed uint64, workers int, run func(i int, seed uint64) stats.RunResult) pooled {
 	if workers <= 0 {
 		workers = 1
 	}
 	if workers > n {
 		workers = n
 	}
-	runSafe := func(i int) (r stats.RunResult, failure string) {
-		defer func() {
-			if p := recover(); p != nil {
-				failure = fmt.Sprint(p)
-			}
-		}()
-		return run(i, crmodel.RunSeed(baseSeed, i)), ""
-	}
-	results := make([]stats.RunResult, n)
-	fails := make([]string, n)
+	out := pooled{baseSeed: baseSeed, results: make([]stats.RunResult, n), fails: make([]string, n)}
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -179,7 +184,9 @@ func simulatePool(tier string, id policy.ID, plat platform.Config, n int, baseSe
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				results[i], fails[i] = runSafe(i)
+				out.results[i], out.fails[i] = runSafe(func() stats.RunResult {
+					return run(i, crmodel.RunSeed(baseSeed, i))
+				})
 			}
 		}()
 	}
@@ -188,11 +195,27 @@ func simulatePool(tier string, id policy.ID, plat platform.Config, n int, baseSe
 	}
 	close(next)
 	wg.Wait()
+	return out
+}
+
+// runSafe runs one simulation, turning a panic into its message.
+func runSafe(run func() stats.RunResult) (r stats.RunResult, failure string) {
+	defer func() {
+		if p := recover(); p != nil {
+			failure = fmt.Sprint(p)
+		}
+	}()
+	return run(), ""
+}
+
+// aggregate builds the pass's aggregate in seed order, ledgering each
+// panicked run against its seed.
+func (p pooled) aggregate(tier string, id policy.ID, plat platform.Config) *stats.Agg {
 	agg := &stats.Agg{}
 	desc := fmt.Sprintf("tier=%s model=%s app=%s", tier, id, plat.App.Name)
-	for i, r := range results {
-		if fails[i] != "" {
-			agg.AddFailed(stats.FailedRun{Seed: crmodel.RunSeed(baseSeed, i), Config: desc, Err: fails[i]})
+	for i, r := range p.results {
+		if p.fails[i] != "" {
+			agg.AddFailed(stats.FailedRun{Seed: crmodel.RunSeed(p.baseSeed, i), Config: desc, Err: p.fails[i]})
 			continue
 		}
 		agg.Add(r)
@@ -207,49 +230,54 @@ const DefaultCrossCheckStride = 16
 
 // SimulateSweepN is SimulateTierN plus a sampled cross-check: every
 // stride-th seed index is re-simulated on the reference (app) tier and
-// the two RunResults compared bit for bit. It is the sweep path's
-// runner — sweeps run on the step tier for speed, and the sampled
-// reference runs keep the bit-identity contract continuously audited
-// instead of trusted. A divergence panics with a full diagnostic: a
-// tier that has drifted invalidates every cached aggregate it produced,
-// so the sweep must not quietly continue. stride <= 0 disables the
-// cross-check, as does running on the reference tier itself.
+// compared bit for bit with the pooled result the aggregate is built
+// from. It is the sweep path's runner — sweeps run on the step tier for
+// speed, and the sampled reference runs keep the bit-identity contract
+// continuously audited instead of trusted. A divergence panics with a
+// full diagnostic: a tier that has drifted invalidates every cached
+// aggregate it produced, so the sweep must not quietly continue.
+// stride <= 0 disables the cross-check, as does running on the reference
+// tier itself.
 func SimulateSweepN(t Tier, id policy.ID, plat platform.Config, n int, baseSeed uint64, workers, stride int) *stats.Agg {
-	agg := SimulateTierN(t, id, plat, n, baseSeed, workers)
+	runs := tierRuns(t, id, plat, n, baseSeed, workers)
 	if ref := AppTier(); stride > 0 && t.Name != ref.Name {
-		crossCheckSampled(t, ref, id, plat, n, baseSeed, stride)
+		runs.crossCheck(t.Name, ref, id, plat, stride)
 	}
-	return agg
+	return runs.aggregate(t.Name, id, plat)
 }
 
-// crossCheckSampled compares t against ref on seed indices 0, stride,
-// 2·stride, … and panics on the first bit difference. A run that panics
-// identically on both tiers is tolerated — the sweep aggregate already
-// ledgers it as a failed run — but a panic on only one tier is itself a
-// divergence.
-func crossCheckSampled(t, ref Tier, id policy.ID, plat platform.Config, n int, baseSeed uint64, stride int) {
-	safe := func(tier Tier, seed uint64) (r stats.RunResult, failure string) {
-		defer func() {
-			if p := recover(); p != nil {
-				failure = fmt.Sprint(p)
-			}
-		}()
-		return tier.Simulate(id, plat, seed), ""
-	}
+// sampledRuns runs only seed indices 0, stride, 2·stride, … of an n-seed
+// pass on t, serially: the part of a pass crossCheck reads.
+func sampledRuns(t Tier, id policy.ID, plat platform.Config, n int, baseSeed uint64, stride int) pooled {
+	out := pooled{baseSeed: baseSeed, results: make([]stats.RunResult, n), fails: make([]string, n)}
 	for i := 0; i < n; i += stride {
-		seed := crmodel.RunSeed(baseSeed, i)
-		got, gotFail := safe(t, seed)
-		want, wantFail := safe(ref, seed)
+		out.results[i], out.fails[i] = runSafe(func() stats.RunResult {
+			return t.Simulate(id, plat, crmodel.RunSeed(baseSeed, i))
+		})
+	}
+	return out
+}
+
+// crossCheck compares the pass's results on seed indices 0, stride,
+// 2·stride, … against ref and panics on the first bit difference. A run
+// that panicked in the pass and panics on ref too is tolerated — the
+// aggregate ledgers it as a failed run — but a panic on only one side is
+// itself a divergence.
+func (p pooled) crossCheck(tier string, ref Tier, id policy.ID, plat platform.Config, stride int) {
+	for i := 0; i < len(p.results); i += stride {
+		seed := crmodel.RunSeed(p.baseSeed, i)
+		got, gotFail := p.results[i], p.fails[i]
+		want, wantFail := runSafe(func() stats.RunResult { return ref.Simulate(id, plat, seed) })
 		if gotFail != "" || wantFail != "" {
 			if gotFail != "" && wantFail != "" {
 				continue
 			}
 			panic(fmt.Sprintf("experiments: tier %q diverged from %q at run %d (seed %#x) model=%s app=%s: %q panic=%q, %q panic=%q",
-				t.Name, ref.Name, i, seed, id, plat.App.Name, t.Name, gotFail, ref.Name, wantFail))
+				tier, ref.Name, i, seed, id, plat.App.Name, tier, gotFail, ref.Name, wantFail))
 		}
 		if got != want {
 			panic(fmt.Sprintf("experiments: tier %q diverged from %q at run %d (seed %#x) model=%s app=%s\n%s: %+v\n%s: %+v",
-				t.Name, ref.Name, i, seed, id, plat.App.Name, t.Name, got, ref.Name, want))
+				tier, ref.Name, i, seed, id, plat.App.Name, tier, got, ref.Name, want))
 		}
 	}
 }

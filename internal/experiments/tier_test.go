@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pckpt/internal/crmodel"
@@ -360,6 +362,48 @@ func TestSimulateSweepNCrossCheck(t *testing.T) {
 	if agg := SimulateSweepN(drift, policy.P1, plat, 4, 3, 2, 0); agg.N() != 4 {
 		t.Fatalf("stride 0: %d runs, want 4", agg.N())
 	}
+}
+
+// TestSimulateSweepNChecksPooledRuns pins that the cross-check compares
+// the results the pool already computed: the sweep tier simulates every
+// seed exactly once, sampled seeds included, and a sampled seed that
+// panicked in the pool but not on the reference is a divergence even
+// though a re-run would have succeeded.
+func TestSimulateSweepNChecksPooledRuns(t *testing.T) {
+	plat := platform.Config{
+		App:    workload.App{Name: "crossval-48", Nodes: 48, TotalCkptGB: 960, ComputeHours: 24},
+		System: failure.System{Name: "busy", Shape: 0.75, ScaleHours: 40, Nodes: 48},
+	}
+	var calls atomic.Int64
+	counting := StepTier()
+	counting.Name = "fake-counting"
+	counting.Simulate = func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
+		calls.Add(1)
+		return stepsim.Simulate(stepsim.Config{Model: id, Config: plat}, seed)
+	}
+	if agg := SimulateSweepN(counting, policy.P1, plat, 8, 3, 2, 2); agg.N() != 8 {
+		t.Fatalf("counting tier: %d runs, want 8", agg.N())
+	}
+	if got := calls.Load(); got != 8 {
+		t.Fatalf("sweep tier simulated %d times for 8 seeds, want 8 (no cross-check re-runs)", got)
+	}
+
+	// Panics on the first call per seed only: a re-run would pass.
+	var flaked sync.Map
+	flaky := StepTier()
+	flaky.Name = "fake-flaky"
+	flaky.Simulate = func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
+		if _, again := flaked.LoadOrStore(seed, true); !again {
+			panic("flaky first run")
+		}
+		return stepsim.Simulate(stepsim.Config{Model: id, Config: plat}, seed)
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "fake-flaky") || !strings.Contains(msg, "flaky first run") {
+			t.Fatalf("one-sided pooled panic not reported as a divergence: %q", msg)
+		}
+	}()
+	SimulateSweepN(flaky, policy.P1, plat, 4, 3, 2, 2)
 }
 
 // TestBadAppFilterPanicsWithContext pins the harness-hardening change to

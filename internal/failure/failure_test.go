@@ -371,3 +371,24 @@ func TestNewLeadTimeModelPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestDefaultLeadTimesSharedAndReadOnly: DefaultLeadTimes is one model
+// per process, and writing through Sequences cannot reach it.
+func TestDefaultLeadTimesSharedAndReadOnly(t *testing.T) {
+	m := DefaultLeadTimes()
+	if DefaultLeadTimes() != m {
+		t.Fatal("DefaultLeadTimes built two models")
+	}
+	tail := m.TailProb(41)
+	seqs := m.Sequences()
+	for i := range seqs {
+		seqs[i].MeanLeadSec = 1
+		seqs[i].ID = 0
+	}
+	if got := m.Sequences(); got[0].ID != 1 || got[0].MeanLeadSec != 43.3 || m.TailProb(41) != tail {
+		t.Fatal("writing through Sequences() changed the shared lead-time model")
+	}
+	if _, id := m.Sample(rng.New(1)); id == 0 {
+		t.Fatal("sampled a sequence ID written through Sequences()")
+	}
+}

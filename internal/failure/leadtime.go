@@ -3,6 +3,7 @@ package failure
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"pckpt/internal/rng"
 )
@@ -46,8 +47,13 @@ type LeadTimeModel struct {
 }
 
 // DefaultLeadTimes returns the lead-time model calibrated to the paper's
-// FT-ratio structure (see the type comment).
-func DefaultLeadTimes() *LeadTimeModel {
+// FT-ratio structure (see the type comment). It is built once per process
+// on first use and shared by every caller from then on: a LeadTimeModel
+// is never mutated after construction (Sequences returns a copy, Scaled
+// builds a new model), so concurrent runs may sample the same instance.
+func DefaultLeadTimes() *LeadTimeModel { return defaultLeadTimes() }
+
+var defaultLeadTimes = sync.OnceValue(func() *LeadTimeModel {
 	return NewLeadTimeModel([]Sequence{
 		{ID: 1, Weight: 4900, MeanLeadSec: 43.3, CV: 0.026},
 		{ID: 2, Weight: 1300, MeanLeadSec: 32, CV: 0.12},
@@ -60,7 +66,7 @@ func DefaultLeadTimes() *LeadTimeModel {
 		{ID: 9, Weight: 80, MeanLeadSec: 6, CV: 0.40},
 		{ID: 10, Weight: 50, MeanLeadSec: 9, CV: 0.30},
 	})
-}
+})
 
 // NewLeadTimeModel builds a model from explicit sequences. It panics on
 // invalid parameters (model construction is configuration-time).
@@ -84,8 +90,8 @@ func NewLeadTimeModel(seqs []Sequence) *LeadTimeModel {
 	return m
 }
 
-// Sequences returns the model's sequences.
-func (m *LeadTimeModel) Sequences() []Sequence { return m.seqs }
+// Sequences returns a copy of the model's sequences.
+func (m *LeadTimeModel) Sequences() []Sequence { return append([]Sequence(nil), m.seqs...) }
 
 // Sample draws a lead time in seconds and reports which failure sequence
 // produced it (the sequence's ID).

@@ -71,7 +71,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.IO == nil {
-		c.IO = iomodel.New(iomodel.DefaultSummit())
+		c.IO = iomodel.Default()
 	}
 	return c
 }

@@ -19,6 +19,7 @@ package iomodel
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Config holds the platform constants. DefaultSummit returns the values
@@ -115,6 +116,14 @@ func New(cfg Config) *Model {
 	m.mx = BuildMatrix(cfg)
 	return m
 }
+
+// Default returns the Summit model (New(DefaultSummit())), built once per
+// process on first use and shared by every caller from then on. A Model
+// is never mutated after New returns — the matrix accessors hand out
+// copies — so concurrent runs may price against the same instance.
+func Default() *Model { return defaultModel() }
+
+var defaultModel = sync.OnceValue(func() *Model { return New(DefaultSummit()) })
 
 // Config returns the platform constants the model was built with.
 func (m *Model) Config() Config { return m.cfg }

@@ -267,3 +267,24 @@ func TestReadEqualsWritePolicy(t *testing.T) {
 		t.Fatal("single-node read/write must match")
 	}
 }
+
+// TestDefaultIsSharedAndReadOnly: Default is one model per process, and
+// writing through the matrix's grid accessors cannot reach it — every
+// run after such a write still prices against the sampled matrix.
+func TestDefaultIsSharedAndReadOnly(t *testing.T) {
+	if Default() != Default() {
+		t.Fatal("Default built two models")
+	}
+	mx := Default().Matrix()
+	before := mx.Lookup(100, 3)
+	nodes, sizes := mx.Nodes(), mx.Sizes()
+	for i := range nodes {
+		nodes[i] = 1
+	}
+	for j := range sizes {
+		sizes[j] = 1
+	}
+	if mx.Nodes()[1] != 2 || mx.Sizes()[0] != matrixMinSizeGB || mx.Lookup(100, 3) != before {
+		t.Fatal("writing through Nodes()/Sizes() changed the shared matrix")
+	}
+}

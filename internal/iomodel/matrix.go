@@ -9,7 +9,8 @@ import (
 // Matrix is the discrete I/O performance matrix of the paper's Fig. 2c:
 // aggregate PFS bandwidth sampled over a grid of node counts and per-node
 // transfer sizes, queried with bilinear interpolation in log2 space.
-// Sampling happens once at Model construction; the simulation reads it.
+// Sampling happens once at Model construction; the simulation reads it,
+// and nothing writes it afterwards (the grid accessors return copies).
 type Matrix struct {
 	// nodeGrid and sizeGrid are the sample coordinates, ascending.
 	nodeGrid []int     // powers of two, 1 .. maxNodes
@@ -49,11 +50,11 @@ func BuildMatrix(cfg Config) *Matrix {
 	return m
 }
 
-// Nodes returns the node-count grid.
-func (m *Matrix) Nodes() []int { return m.nodeGrid }
+// Nodes returns a copy of the node-count grid.
+func (m *Matrix) Nodes() []int { return append([]int(nil), m.nodeGrid...) }
 
-// Sizes returns the per-node transfer-size grid in GB.
-func (m *Matrix) Sizes() []float64 { return m.sizeGrid }
+// Sizes returns a copy of the per-node transfer-size grid in GB.
+func (m *Matrix) Sizes() []float64 { return append([]float64(nil), m.sizeGrid...) }
 
 // At returns the sampled bandwidth at grid indices (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.bw[i][j] }

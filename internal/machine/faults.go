@@ -34,6 +34,13 @@ type faultDriver struct {
 
 	baseCeiling float64
 	baseDrains  int
+
+	// The window and strike callbacks are method values bound once in
+	// start, so opening, closing, and rescheduling a window allocates
+	// nothing (see DESIGN.md "Bound continuations").
+	brownoutOpenFn, brownoutCloseFn       func()
+	drainOutageOpenFn, drainOutageCloseFn func()
+	crashStrikeFn                         func()
 }
 
 // start wires the rack map and schedules the first gap of every enabled
@@ -53,15 +60,18 @@ func (d *faultDriver) start() {
 	}
 	d.baseCeiling = d.arb.Ceiling()
 	d.baseDrains = d.arb.MaxDrains()
+	d.brownoutOpenFn, d.brownoutCloseFn = d.brownoutOpen, d.brownoutClose
+	d.drainOutageOpenFn, d.drainOutageCloseFn = d.drainOutageOpen, d.drainOutageClose
+	d.crashStrikeFn = d.crashStrike
 	mc := d.fi.MachineConfig()
 	if mc.BrownoutRatePerHour > 0 {
-		d.eng.AtNamed(d.fi.NextBrownoutGap(), "machine-brownout", d.brownoutOpen)
+		d.eng.AtNamed(d.fi.NextBrownoutGap(), "machine-brownout", d.brownoutOpenFn)
 	}
 	if mc.DrainOutageRatePerHour > 0 {
-		d.eng.AtNamed(d.fi.NextDrainOutageGap(), "machine-drain-outage", d.drainOutageOpen)
+		d.eng.AtNamed(d.fi.NextDrainOutageGap(), "machine-drain-outage", d.drainOutageOpenFn)
 	}
 	if mc.CrashRatePerHour > 0 {
-		d.eng.AtNamed(d.fi.NextCrashGap(), "machine-crash", d.crashStrike)
+		d.eng.AtNamed(d.fi.NextCrashGap(), "machine-crash", d.crashStrikeFn)
 	}
 }
 
@@ -88,13 +98,17 @@ func (d *faultDriver) brownoutOpen() {
 	d.res.Brownouts++
 	d.res.BrownoutSeconds += dur
 	d.arb.SetCeiling(d.baseCeiling * factor)
-	d.eng.AtNamed(dur, "machine-brownout", func() {
-		d.arb.SetCeiling(d.baseCeiling)
-		if d.allDone() {
-			return
-		}
-		d.eng.AtNamed(d.fi.NextBrownoutGap(), "machine-brownout", d.brownoutOpen)
-	})
+	d.eng.AtNamed(dur, "machine-brownout", d.brownoutCloseFn)
+}
+
+// brownoutClose ends the open brownout window — the ceiling returns to
+// base — and draws the gap to the next one.
+func (d *faultDriver) brownoutClose() {
+	d.arb.SetCeiling(d.baseCeiling)
+	if d.allDone() {
+		return
+	}
+	d.eng.AtNamed(d.fi.NextBrownoutGap(), "machine-brownout", d.brownoutOpenFn)
 }
 
 // drainOutageOpen starts one drain-slot outage: the machine-wide drain
@@ -107,13 +121,17 @@ func (d *faultDriver) drainOutageOpen() {
 	dur, slots := d.fi.DrainOutageWindow()
 	d.res.DrainOutages++
 	d.arb.SetMaxDrains(max(d.baseDrains-slots, 0))
-	d.eng.AtNamed(dur, "machine-drain-outage", func() {
-		d.arb.SetMaxDrains(d.baseDrains)
-		if d.allDone() {
-			return
-		}
-		d.eng.AtNamed(d.fi.NextDrainOutageGap(), "machine-drain-outage", d.drainOutageOpen)
-	})
+	d.eng.AtNamed(dur, "machine-drain-outage", d.drainOutageCloseFn)
+}
+
+// drainOutageClose ends the open drain-slot outage — the full drain
+// budget returns — and draws the gap to the next one.
+func (d *faultDriver) drainOutageClose() {
+	d.arb.SetMaxDrains(d.baseDrains)
+	if d.allDone() {
+		return
+	}
+	d.eng.AtNamed(d.fi.NextDrainOutageGap(), "machine-drain-outage", d.drainOutageOpenFn)
 }
 
 // crashStrike fires one planned rack crash. The rack is drawn
@@ -137,7 +155,7 @@ func (d *faultDriver) crashStrike() {
 	if struck {
 		d.tryAdmit()
 	}
-	d.eng.AtNamed(d.fi.NextCrashGap(), "machine-crash", d.crashStrike)
+	d.eng.AtNamed(d.fi.NextCrashGap(), "machine-crash", d.crashStrikeFn)
 }
 
 // crashTenant aborts one running job and routes it through the crash

@@ -209,10 +209,22 @@ const machineMaxEvents = 100_000_000
 // draws seed crmodel.RunSeed(seed, i), the same derivation the sweep
 // runners use.
 func Simulate(cfg Config, seed uint64) Result {
-	cfg = cfg.WithDefaults()
-	if err := cfg.Validate(); err != nil {
+	return simulate(cfg.mustDefault(), seed)
+}
+
+// mustDefault returns the defaulted configuration, panicking if it is
+// invalid.
+func (c Config) mustDefault() Config {
+	c = c.WithDefaults()
+	if err := c.Validate(); err != nil {
 		panic(err)
 	}
+	return c
+}
+
+// simulate is Simulate on a configuration that is already defaulted and
+// validated. It only reads cfg, so SimulateN's workers share one.
+func simulate(cfg Config, seed uint64) Result {
 	eng := stepsim.NewEngine()
 	eng.SetWatchdog(uint64(len(cfg.Jobs))*machineMaxEvents, 0)
 	arb := NewBandwidthArbiter(eng, cfg.PFSCeilingGBs, cfg.MaxConcurrentDrains, len(cfg.Jobs))
@@ -382,7 +394,9 @@ func observeMachineMetrics(cfg Config, res *Result) {
 
 // SimulateN executes runs independent machine simulations (run r draws
 // seed crmodel.RunSeed(seed, r)) across workers goroutines, returning
-// results indexed by run — identical for any worker count.
+// results indexed by run — identical for any worker count. The cohort is
+// defaulted and validated once (panicking here, like Simulate, if it is
+// invalid), and every run reads that one configuration.
 func SimulateN(cfg Config, runs int, seed uint64, workers int) []Result {
 	if runs <= 0 {
 		return nil
@@ -392,6 +406,7 @@ func SimulateN(cfg Config, runs int, seed uint64, workers int) []Result {
 	// introspection uses Simulate.
 	cfg.Metrics = nil
 	cfg.OnAlloc = nil
+	cfg = cfg.mustDefault()
 	if workers <= 0 {
 		workers = 1
 	}
@@ -401,7 +416,7 @@ func SimulateN(cfg Config, runs int, seed uint64, workers int) []Result {
 	out := make([]Result, runs)
 	if workers == 1 {
 		for r := 0; r < runs; r++ {
-			out[r] = Simulate(cfg, crmodel.RunSeed(seed, r))
+			out[r] = simulate(cfg, crmodel.RunSeed(seed, r))
 		}
 		return out
 	}
@@ -411,7 +426,7 @@ func SimulateN(cfg Config, runs int, seed uint64, workers int) []Result {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for r := range work {
-				out[r] = Simulate(cfg, crmodel.RunSeed(seed, r))
+				out[r] = simulate(cfg, crmodel.RunSeed(seed, r))
 			}
 		}()
 	}

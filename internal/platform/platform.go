@@ -35,11 +35,13 @@ type Config struct {
 	// stats.RunResult.Truncated). Zero means effectively unbounded — the
 	// paper's assumption that node recovery keeps spares available.
 	SpareNodes int
-	// IO prices every transfer; nil selects the default Summit model.
+	// IO prices every transfer; nil selects the shared Summit model
+	// (iomodel.Default).
 	IO *iomodel.Model
 	// LM is the migration model; the zero value selects lm.Default().
 	LM lm.Config
-	// Leads is the lead-time model; nil selects the default mixture.
+	// Leads is the lead-time model; nil selects the shared default
+	// mixture (failure.DefaultLeadTimes).
 	Leads *failure.LeadTimeModel
 	// LeadScale stretches lead times (1.0 if zero) — the variability
 	// axis of Figs. 4 and 7.
@@ -73,10 +75,13 @@ type Config struct {
 	Replay *failure.Replay
 }
 
-// WithDefaults returns a copy with zero fields defaulted. Idempotent.
+// WithDefaults returns a copy with zero fields defaulted. Idempotent. The
+// default I/O and lead-time models are process-wide and read-only, so
+// defaulting a parametric configuration builds no model and allocates
+// nothing (a replayed trace still mines its lead-time mixture per call).
 func (c Config) WithDefaults() Config {
 	if c.IO == nil {
-		c.IO = iomodel.New(iomodel.DefaultSummit())
+		c.IO = iomodel.Default()
 	}
 	if c.LM == (lm.Config{}) {
 		c.LM = lm.Default()
