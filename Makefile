@@ -30,9 +30,9 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; \
 	fi
 
-# crossval races the tier cross-validation: all three simulation tiers
-# (app-level reference, node-granular, step-based tier-0) on matched
-# platform configs and seeds, under the race detector. The pattern also
+# crossval races the tier cross-validation: the app-level reference and
+# the step-based tier-0 on matched platform configs and seeds, under the
+# race detector. The pattern also
 # picks up TestCrossValidationStepBitIdentity in internal/stepsim — the
 # full B/M1/M2 × platform × seed bit-identity matrix against crmodel.
 crossval:
@@ -92,7 +92,7 @@ cachepass:
 	rc=$$?; rm -rf $$dir; exit $$rc
 
 # bench runs the full benchmark suite (paper tables/figures plus the
-# sim/queue/nodesim/stepsim substrate micro-benchmarks) and writes the
+# sim/queue/stepsim substrate micro-benchmarks) and writes the
 # parsed results as a machine-readable artefact; see EXPERIMENTS.md for
 # the schema and how to compare against the committed baseline.
 BENCH_OUT ?= BENCH_PR9.json
@@ -152,8 +152,9 @@ errcheck:
 # worker-determinism sweeps and injection bit-identity tests must run
 # raced — they are exactly the tests that catch cross-worker
 # nondeterminism), the non-race performance gates (allocation pins and
-# same-binary headroom, which the race build cannot run), a dedicated race pass over the tier cross-validation
-# (all three tiers), a focused race pass over the step tier's
+# same-binary headroom, which the race build cannot run), a dedicated
+# race pass over the tier cross-validation (app + step), a focused race
+# pass over the step tier's
 # bit-identity matrix — all five models, episode machinery included —
 # a focused race pass over the shared-machine arbiter/admission layer,
 # the golden-table regression suite plus explicit degraded-platform,

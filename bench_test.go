@@ -15,15 +15,14 @@ import (
 	"fmt"
 	"testing"
 
-	"pckpt/internal/crmodel"
 	"pckpt/internal/deshlog"
 	"pckpt/internal/experiments"
 	"pckpt/internal/failure"
 	"pckpt/internal/iomodel"
 	"pckpt/internal/lm"
-	"pckpt/internal/nodesim"
 	"pckpt/internal/pckpt"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 	"pckpt/internal/rng"
 	"pckpt/internal/sim"
 	"pckpt/internal/stepsim"
@@ -102,7 +101,7 @@ func BenchmarkAblationSingleRunPerModel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, m := range crmodel.Models() {
+	for _, m := range policy.All() {
 		b.Run(m.String(), func(b *testing.B) {
 			cfg := stepsim.Config{Model: m, Config: platform.Config{App: app, System: failure.Titan}}
 			b.ReportAllocs()
@@ -125,7 +124,7 @@ func BenchmarkAblationWorkerScaling(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				experiments.SimulateTierN(experiments.StepTier(), crmodel.ModelP2, plat, 32, uint64(i), workers)
+				experiments.SimulateTierN(experiments.StepTier(), policy.P2, plat, 32, uint64(i), workers)
 			}
 		})
 	}
@@ -145,7 +144,7 @@ func BenchmarkAblationDrainConcurrency(b *testing.B) {
 		ioCfg.DrainConcurrency = conc
 		io := iomodel.New(ioCfg)
 		b.Run(fmt.Sprintf("drainers=%d", conc), func(b *testing.B) {
-			cfg := stepsim.Config{Model: crmodel.ModelB, Config: platform.Config{App: app, System: failure.Titan, IO: io}}
+			cfg := stepsim.Config{Model: policy.B, Config: platform.Config{App: app, System: failure.Titan, IO: io}}
 			var recompute float64
 			for i := 0; i < b.N; i++ {
 				recompute += stepsim.Simulate(cfg, uint64(i)).Recompute
@@ -213,19 +212,6 @@ func BenchmarkPckptEpisode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pckpt.Run(cfg, preds)
-	}
-}
-
-// BenchmarkNodeGranularRun measures one node-granular hybrid run (48
-// node processes, coordinator, priority lane) against the app-level
-// equivalent in BenchmarkAblationSingleRunPerModel.
-func BenchmarkNodeGranularRun(b *testing.B) {
-	app := workload.App{Name: "bench", Nodes: 48, TotalCkptGB: 48 * 20, ComputeHours: 24}
-	sys := failure.System{Name: "busy", Shape: 0.75, ScaleHours: 40, Nodes: 48}
-	cfg := nodesim.Config{Policy: nodesim.PolicyHybrid, Config: platform.Config{App: app, System: sys}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		nodesim.Simulate(cfg, uint64(i))
 	}
 }
 

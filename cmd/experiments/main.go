@@ -55,7 +55,6 @@ func main() {
 		seed       = flag.Uint64("seed", 42, "base RNG seed")
 		workers    = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		apps       = flag.String("apps", "", "comma-separated application filter (default: experiment-specific)")
-		tiers      = flag.String("tiers", "", "comma-separated tier filter for cross-validating experiments: "+strings.Join(experiments.TierNames(), ", ")+" (default: all registered tiers)")
 		crossEvery = flag.Int("crosscheck-every", experiments.DefaultCrossCheckStride, "re-run every Nth sweep seed on the app tier as a bit-identity cross-check (0 disables)")
 		values     = flag.Bool("values", false, "also print machine-readable headline values")
 		meter      = flag.Bool("metrics", false, "meter simulation runs and print the merged metrics summary")
@@ -136,15 +135,6 @@ func main() {
 	exitOn(p.MachineFaults.Validate())
 	if *apps != "" {
 		p.Apps = strings.Split(*apps, ",")
-	}
-	if *tiers != "" {
-		for _, name := range strings.Split(*tiers, ",") {
-			name = strings.TrimSpace(name)
-			if _, ok := experiments.TierByName(name); !ok {
-				exitOn(fmt.Errorf("experiments: unknown tier %q (have %s)", name, strings.Join(experiments.TierNames(), ", ")))
-			}
-			p.Tiers = append(p.Tiers, name)
-		}
 	}
 	if *meter {
 		p.Metrics = metrics.NewCollector()

@@ -20,13 +20,13 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"pckpt/internal/crmodel"
 	"pckpt/internal/experiments"
 	"pckpt/internal/failure"
 	"pckpt/internal/faultinject"
 	"pckpt/internal/lm"
 	"pckpt/internal/metrics"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 	"pckpt/internal/stats"
 	"pckpt/internal/stepsim"
 	"pckpt/internal/tablefmt"
@@ -130,12 +130,12 @@ func main() {
 
 	app, err := workload.ByName(*appName)
 	exitOn(err)
-	model, err := crmodel.ModelByName(*modelName)
+	model, err := policy.ByName(*modelName)
 	exitOn(err)
 	sys, err := failure.SystemByName(*sysName)
 	exitOn(err)
 
-	cfg := crmodel.Config{
+	cfg := stepsim.Config{
 		Model: model,
 		Config: platform.Config{
 			App:       app,
@@ -201,8 +201,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "warning: run with seed %d failed (%s): %s\n", f.Seed, f.Config, f.Err)
 	}
 
-	if *baseline && model != crmodel.ModelB {
-		base := experiments.SimulateTierN(tier, crmodel.ModelB, cfg.Config, *runs, *seed, runtime.GOMAXPROCS(0)).MeanOverheads()
+	if *baseline && model != policy.B {
+		base := experiments.SimulateTierN(tier, policy.B, cfg.Config, *runs, *seed, runtime.GOMAXPROCS(0)).MeanOverheads()
 		ck, rc, rv, tot := stats.ReductionBreakdown(base, mo)
 		fmt.Printf("vs base model B: checkpoint %s, recomputation %s, recovery %s, TOTAL %s\n",
 			tablefmt.Percent(ck), tablefmt.Percent(rc), tablefmt.Percent(rv), tablefmt.Percent(tot))

@@ -5,7 +5,8 @@
 //	p.Wait(cmd.dur)
 //
 // silently conflates "the wait expired" with "the phase was aborted by an
-// interrupt" — exactly the nodesim.nodeLoop bug this repository shipped.
+// interrupt" — a bug this repository once shipped in a per-node phase
+// loop.
 // Explicitly discarding with `_ = p.Wait(d)` is accepted: it states the
 // caller considered the abort path and chose to ignore it.
 //
@@ -35,8 +36,8 @@ var interruptible = map[string]bool{
 	"Wait":      true, // Proc.Wait
 	"WaitEvent": true, // Proc.WaitEvent
 	"Join":      true, // Proc.Join
-	"Acquire":   true, // Resource.Acquire
-	"Await":     true, // Barrier.Await
+	"Acquire":   true, // blocking acquire of a shared resource
+	"Await":     true, // blocking barrier wait
 }
 
 // injectorHooks is the faultinject draw surface. Unlike the interruptible

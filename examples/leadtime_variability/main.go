@@ -14,10 +14,10 @@ import (
 	"log"
 	"runtime"
 
-	"pckpt/internal/crmodel"
 	"pckpt/internal/experiments"
 	"pckpt/internal/failure"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 	"pckpt/internal/stats"
 	"pckpt/internal/tablefmt"
 	"pckpt/internal/workload"
@@ -35,11 +35,11 @@ func main() {
 
 	const seed = 7
 	step, workers := experiments.StepTier(), runtime.GOMAXPROCS(0)
-	base := experiments.SimulateTierN(step, crmodel.ModelB, platform.Config{App: app, System: failure.Titan}, *runs, seed, workers)
+	base := experiments.SimulateTierN(step, policy.B, platform.Config{App: app, System: failure.Titan}, *runs, seed, workers)
 	baseTotal := base.MeanOverheads().Total()
 	fmt.Printf("%s under Titan failures: base model total overhead %s\n\n", app.Name, tablefmt.Hours(baseTotal))
 
-	models := []crmodel.Model{crmodel.ModelM1, crmodel.ModelM2, crmodel.ModelP1, crmodel.ModelP2}
+	models := []policy.ID{policy.M1, policy.M2, policy.P1, policy.P2}
 	t := tablefmt.NewTable("lead Δ", "M1", "M2", "P1", "P2", "winner")
 	for _, scale := range []float64{0.5, 0.7, 0.9, 1.0, 1.1, 1.3, 1.5} {
 		row := []string{fmt.Sprintf("%+.0f%%", (scale-1)*100)}

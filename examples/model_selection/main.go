@@ -15,28 +15,29 @@ import (
 	"runtime"
 
 	"pckpt/internal/analytic"
-	"pckpt/internal/crmodel"
 	"pckpt/internal/experiments"
 	"pckpt/internal/failure"
 	"pckpt/internal/lm"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 	"pckpt/internal/stats"
+	"pckpt/internal/stepsim"
 	"pckpt/internal/tablefmt"
 	"pckpt/internal/workload"
 )
 
 // recommend applies the paper's rule of thumb.
-func recommend(app workload.App, sys failure.System) crmodel.Model {
+func recommend(app workload.App, sys failure.System) policy.ID {
 	longRunning := app.ComputeHours >= 360
 	large := app.TotalCkptGB >= 1e4
 	highFailureRate := sys.JobFailureRate(app.Nodes)*app.ComputeSeconds() >= 3
 	if longRunning {
-		return crmodel.ModelP2
+		return policy.P2
 	}
 	if large && highFailureRate {
-		return crmodel.ModelP1
+		return policy.P1
 	}
-	return crmodel.ModelP2
+	return policy.P2
 }
 
 func main() {
@@ -49,19 +50,19 @@ func main() {
 	for _, app := range workload.Summit() {
 		rec := recommend(app, sys)
 		plat := platform.Config{App: app, System: sys}
-		base := experiments.SimulateTierN(step, crmodel.ModelB, plat, *runs, 3, workers)
+		base := experiments.SimulateTierN(step, policy.B, plat, *runs, 3, workers)
 		baseTotal := base.MeanOverheads().Total()
-		reds := map[crmodel.Model]float64{}
-		for _, m := range []crmodel.Model{crmodel.ModelP1, crmodel.ModelP2} {
+		reds := map[policy.ID]float64{}
+		for _, m := range []policy.ID{policy.P1, policy.P2} {
 			agg := experiments.SimulateTierN(step, m, plat, *runs, 3, workers)
 			reds[m] = stats.PercentReduction(baseTotal, agg.MeanOverheads().Total())
 		}
-		best := crmodel.ModelP1
-		if reds[crmodel.ModelP2] > reds[crmodel.ModelP1] {
-			best = crmodel.ModelP2
+		best := policy.P1
+		if reds[policy.P2] > reds[policy.P1] {
+			best = policy.P2
 		}
 		// The Eq. (8) view: does p-ckpt beat pure LM at the default α?
-		sigma := (crmodel.Config{Model: crmodel.ModelP2, Config: plat}).Sigma()
+		sigma := (stepsim.Config{Model: policy.P2, Config: plat}).Sigma()
 		if sigma >= analytic.SigmaMax {
 			sigma = analytic.SigmaMax - 1e-9
 		}
@@ -70,8 +71,8 @@ func main() {
 			verdict = "p-ckpt"
 		}
 		t.AddRow(app.Name, rec.String(),
-			tablefmt.Percent(reds[crmodel.ModelP1]),
-			tablefmt.Percent(reds[crmodel.ModelP2]),
+			tablefmt.Percent(reds[policy.P1]),
+			tablefmt.Percent(reds[policy.P2]),
 			best.String(), verdict)
 	}
 	fmt.Println("paper Recommendation applied to the Table I catalogue (Titan failures):")

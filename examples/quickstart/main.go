@@ -10,11 +10,12 @@ import (
 	"log"
 	"runtime"
 
-	"pckpt/internal/crmodel"
 	"pckpt/internal/experiments"
 	"pckpt/internal/failure"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 	"pckpt/internal/stats"
+	"pckpt/internal/stepsim"
 	"pckpt/internal/workload"
 )
 
@@ -30,8 +31,8 @@ func main() {
 	// checkpointing otherwise. Everything else (Summit I/O model, Fig. 2a
 	// lead times, Desh-grade predictor accuracy) defaults to the paper's
 	// setup.
-	cfg := crmodel.Config{
-		Model:  crmodel.ModelP2,
+	cfg := stepsim.Config{
+		Model:  policy.P2,
 		Config: platform.Config{App: app, System: failure.Titan},
 	}
 	fmt.Printf("application: %v\n", app)
@@ -43,7 +44,7 @@ func main() {
 	const runs, seed = 200, 1
 	step, workers := experiments.StepTier(), runtime.GOMAXPROCS(0)
 	hybrid := experiments.SimulateTierN(step, cfg.Model, cfg.Config, runs, seed, workers)
-	baseline := experiments.SimulateTierN(step, crmodel.ModelB, cfg.Config, runs, seed, workers)
+	baseline := experiments.SimulateTierN(step, policy.B, cfg.Config, runs, seed, workers)
 
 	bo, ho := baseline.MeanOverheads(), hybrid.MeanOverheads()
 	fmt.Printf("base model B:   %v\n", bo)

@@ -11,9 +11,10 @@ import (
 	"fmt"
 	"log"
 
-	"pckpt/internal/crmodel"
 	"pckpt/internal/failure"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
+	"pckpt/internal/stepsim"
 	"pckpt/internal/trace"
 	"pckpt/internal/workload"
 )
@@ -29,14 +30,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	model, err := crmodel.ModelByName(*modelName)
+	model, err := policy.ByName(*modelName)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	var buf trace.Buffer
-	cfg := crmodel.Config{Model: model, Config: platform.Config{App: app, System: failure.Titan}, Trace: &buf}
-	res := crmodel.Simulate(cfg, *seed)
+	cfg := stepsim.Config{Model: model, Config: platform.Config{App: app, System: failure.Titan}, Trace: &buf}
+	res := stepsim.Simulate(cfg, *seed)
 
 	if *full {
 		fmt.Print(buf.Render())

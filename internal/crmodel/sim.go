@@ -161,10 +161,9 @@ func (a *appSim) computeChunk(p *sim.Proc) {
 	// The float sums can stall a hair short of the target once simulated
 	// time can no longer resolve the residual (the measured wait recovers
 	// less than the requested delay at large absolute times); treat
-	// anything below a microsecond as done and snap, as the node-granular
-	// tier does. Without the snap, a rollback that lands progress just
-	// short of ComputeSeconds livelocks the run: compute 0s, checkpoint,
-	// forever.
+	// anything below a microsecond as done and snap. Without the snap, a
+	// rollback that lands progress just short of ComputeSeconds livelocks
+	// the run: compute 0s, checkpoint, forever.
 	for target-a.progress > 1e-6 {
 		start := a.env.Now()
 		err := p.Wait(target - a.progress)

@@ -38,11 +38,6 @@ type Params struct {
 	// Apps restricts the applications simulated (names from the Table I
 	// catalogue); empty means the experiment's own default set.
 	Apps []string
-	// Tiers restricts the non-reference simulation tiers cross-validated
-	// against the app-level model (names from the Tiers() registry);
-	// empty means every registered tier. Experiments that run a single
-	// tier ignore it.
-	Tiers []string
 	// Metrics, when non-nil, collects merged simulation-metric snapshots
 	// across every configuration the experiment runs (see
 	// internal/metrics). Metering adds per-run registries but keeps the
@@ -51,8 +46,8 @@ type Params struct {
 	// Cache, when non-nil, is consulted before every configuration is
 	// simulated and receives every freshly simulated aggregate, making
 	// sweeps resumable (see internal/runcache). Cache keys exclude
-	// Workers (results are worker-count independent) and the Apps/Tiers
-	// filters (a filter selects configurations, it does not change any
+	// Workers (results are worker-count independent) and the Apps
+	// filter (a filter selects configurations, it does not change any
 	// one configuration's identity).
 	Cache *runcache.Store
 	// Experiment namespaces cache keys with the registry ID. Run stamps
@@ -139,7 +134,7 @@ func All() []Def {
 		{"obs9fix", "Extension: accuracy-aware σ in Eq. (2) (paper's future work)", Obs9Fix},
 		{"globalview", "Extension: p-ckpt with a global system view (paper's out-of-scope item)", GlobalView},
 		{"analytic", "Observation 8: analytical LM vs p-ckpt model (Eqs. 4-8)", Analytic},
-		{"crossval", "Cross-validation: app-level reference vs node-granular and step tiers on matched seeds", CrossValidation},
+		{"crossval", "Cross-validation: app-level reference vs step tiers on matched seeds", CrossValidation},
 		{"degraded", "Extension: degraded platform — injected write failures, corruption, restart retries", Degraded},
 		{"scenario", "Extension: declarative scenario specs — cohorts, platforms, failure-trace replay", Scenario},
 		{"contention", "Extension: multi-tenant contention — shared PFS bandwidth arbitration and admission", Contention},

@@ -3,8 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"pckpt/internal/crmodel"
-	"pckpt/internal/nodesim"
 	"pckpt/internal/runcache"
 	"pckpt/internal/scenario"
 )
@@ -79,46 +77,27 @@ func replaySpec(t *testing.T) *scenario.Spec {
 
 // A replayed trace draws nothing from the RNG, so a replay configuration
 // must be bit-identical not only across worker counts (TestWorkers-
-// Determinism covers the whole experiment) but across *seeds* too.
+// Determinism covers the whole experiment) but across *seeds* too, on
+// both tiers, and must see the trace's failures.
 func TestReplaySpecSeedInvariant(t *testing.T) {
 	s := replaySpec(t)
 	cfgs, err := s.Configs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := cfgs[len(cfgs)-1]
-	cfg := crmodel.Config{Model: rc.Policy, Config: rc.Platform}
-	// Different seeds, identical results: the failure path consumes no
-	// randomness. (The fault-injection substream is idle too: the replay
-	// spec configures a perfect platform.)
-	a := crmodel.Simulate(cfg, 1)
-	b := crmodel.Simulate(cfg, 99)
-	if a != b {
-		t.Fatalf("replay run depends on the seed:\n%+v\nvs\n%+v", a, b)
-	}
-}
-
-// Both simulation tiers consume a replayed trace through the same
-// failure-stream interface: the node-granular tier must run a replay
-// configuration and see exactly the trace's failure pattern (same
-// deterministic result on every seed).
-func TestNodesimConsumesReplay(t *testing.T) {
-	s := replaySpec(t)
-	cfgs, err := s.Configs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc := cfgs[0]
-	cfg := nodesim.Config{Policy: nodesim.Policy(rc.Policy), Config: rc.Platform}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	a := nodesim.Simulate(cfg, 7)
-	b := nodesim.Simulate(cfg, 1234)
-	if a != b {
-		t.Fatalf("node-tier replay run depends on the seed:\n%+v\nvs\n%+v", a, b)
-	}
-	if a.Failures == 0 {
-		t.Fatal("node-tier replay run saw no failures from the trace")
+	for _, rc := range []scenario.RunConfig{cfgs[0], cfgs[len(cfgs)-1]} {
+		for _, tier := range []Tier{AppTier(), StepTier()} {
+			// Different seeds, identical results: the failure path
+			// consumes no randomness. (The fault-injection substream is
+			// idle too: the replay spec configures a perfect platform.)
+			a := tier.Simulate(rc.Policy, rc.Platform, 1)
+			b := tier.Simulate(rc.Policy, rc.Platform, 99)
+			if a != b {
+				t.Fatalf("%s/%v: replay run depends on the seed:\n%+v\nvs\n%+v", tier.Name, rc.Policy, a, b)
+			}
+			if a.Failures == 0 {
+				t.Fatalf("%s/%v: replay run saw no failures from the trace", tier.Name, rc.Policy)
+			}
+		}
 	}
 }

@@ -6,52 +6,31 @@ import (
 
 	"pckpt/internal/crmodel"
 	"pckpt/internal/metrics"
-	"pckpt/internal/nodesim"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
 	"pckpt/internal/stats"
 	"pckpt/internal/stepsim"
 )
 
-// Tier is one simulation granularity the experiment runner can drive: the
-// application-level model (internal/crmodel), the node-granular
-// simulator (internal/nodesim), or the step-based tier-0 engine
-// (internal/stepsim). All consume the shared platform configuration and
-// the policy catalogue, so a sweep is written once and runs at any
-// granularity. Adding a tier is one registry entry in Tiers(); the
-// runner, cache, and cross-validation machinery key on Name.
+// Tier is one simulation granularity the experiment runner can drive:
+// the application-level reference model (internal/crmodel) or the
+// step-based tier-0 engine (internal/stepsim). Both consume the shared
+// platform configuration and implement the full policy catalogue, so a
+// sweep is written once and runs on either; the runner, cache, and
+// cross-validation machinery key on Name.
 type Tier struct {
-	// Name labels the tier in tables and cache keys ("app" / "node" /
-	// "step"); it must be unique across the Tiers() registry.
+	// Name labels the tier in tables and cache keys ("app" / "step").
 	Name string
-	// Supports reports whether the tier implements the catalogue entry
-	// (the node tier implements the subset with a NodeLabel; the app and
-	// step tiers implement the full catalogue).
-	Supports func(id policy.ID) bool
 	// Simulate runs one seed of the model on the shared platform config.
 	Simulate func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult
 }
 
-// AppTier is the application-granularity tier; it implements the full
-// catalogue.
+// AppTier is the application-granularity reference tier.
 func AppTier() Tier {
 	return Tier{
-		Name:     "app",
-		Supports: func(policy.ID) bool { return true },
+		Name: "app",
 		Simulate: func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
 			return crmodel.Simulate(crmodel.Config{Model: id, Config: plat}, seed)
-		},
-	}
-}
-
-// NodeTier is the node-granularity tier; it implements the catalogue
-// subset with node labels (B, P1, P2).
-func NodeTier() Tier {
-	return Tier{
-		Name:     "node",
-		Supports: func(id policy.ID) bool { return id.NodeLabel() != "" },
-		Simulate: func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
-			return nodesim.Simulate(nodesim.Config{Policy: id, Config: plat}, seed)
 		},
 	}
 }
@@ -64,39 +43,11 @@ func NodeTier() Tier {
 // sampled cross-check (see SimulateSweepN).
 func StepTier() Tier {
 	return Tier{
-		Name:     "step",
-		Supports: stepsim.Supports,
+		Name: "step",
 		Simulate: func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
 			return stepsim.Simulate(stepsim.Config{Model: id, Config: plat}, seed)
 		},
 	}
-}
-
-// Tiers is the tier registry, reference tier first. Every consumer that
-// enumerates granularities (cross-validation, the -tiers filter, parity
-// tests) ranges over this list, so registering a tier here is the only
-// required change.
-func Tiers() []Tier { return []Tier{AppTier(), NodeTier(), StepTier()} }
-
-// TierByName resolves a registry entry for CLI flags; ok is false for an
-// unknown name.
-func TierByName(name string) (Tier, bool) {
-	for _, t := range Tiers() {
-		if t.Name == name {
-			return t, true
-		}
-	}
-	return Tier{}, false
-}
-
-// TierNames lists the registry names in order, for flag help text.
-func TierNames() []string {
-	ts := Tiers()
-	names := make([]string, len(ts))
-	for i, t := range ts {
-		names[i] = t.Name
-	}
-	return names
 }
 
 // runTier is SimulateTierN behind the result cache: the tier name joins

@@ -25,8 +25,7 @@ import (
 func TestSimulateTierNRecoversPanickingRun(t *testing.T) {
 	badSeed := crmodel.RunSeed(11, 2)
 	fake := Tier{
-		Name:     "fake",
-		Supports: func(policy.ID) bool { return true },
+		Name: "fake",
 		Simulate: func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
 			if seed == badSeed {
 				panic("planted tier crash")
@@ -62,8 +61,7 @@ func TestSimulateTierNRecoversPanickingRun(t *testing.T) {
 func TestSimulateTierNEdgeCases(t *testing.T) {
 	plat := platform.Config{App: workload.App{Name: "fakeapp", Nodes: 4, TotalCkptGB: 4, ComputeHours: 1}}
 	ok := Tier{
-		Name:     "fake",
-		Supports: func(policy.ID) bool { return true },
+		Name: "fake",
 		Simulate: func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
 			return stats.RunResult{WallSeconds: float64(seed % 97)}
 		},
@@ -101,8 +99,7 @@ func TestSimulateTierNEdgeCases(t *testing.T) {
 func TestSimulateTierNLedgersWatchdog(t *testing.T) {
 	stuckSeed := crmodel.RunSeed(7, 0)
 	livelock := Tier{
-		Name:     "livelock",
-		Supports: func(policy.ID) bool { return true },
+		Name: "livelock",
 		Simulate: func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
 			if seed != stuckSeed {
 				return stats.RunResult{WallSeconds: 1}
@@ -161,10 +158,12 @@ func TestSimulateMeteredNMatchesUnmetered(t *testing.T) {
 	if _, snap1 := SimulateMeteredN(policy.P2, plat, 8, 17, 1); !reflect.DeepEqual(snap, snap1) {
 		t.Fatal("merged snapshot depends on the worker count")
 	}
-	// Every handled failure observes exactly one recovery span.
-	failures := 0
+	// Every handled failure observes exactly one recovery span, and
+	// every completed BB checkpoint exactly one blocked write span.
+	failures, checkpoints := 0, 0
 	for _, r := range metered.Runs() {
 		failures += r.Failures
+		checkpoints += r.Checkpoints
 	}
 	if failures == 0 {
 		t.Fatal("no failures in the metered runs; the recovery check is vacuous")
@@ -172,8 +171,8 @@ func TestSimulateMeteredNMatchesUnmetered(t *testing.T) {
 	if rec := snap.Histograms["sim.P2.recovery_seconds"]; int(rec.Count) != failures {
 		t.Fatalf("recovery_seconds count %d != %d failures", int(rec.Count), failures)
 	}
-	if bw := snap.Histograms["sim.P2.bb_write_seconds"]; bw.Count == 0 {
-		t.Fatal("no BB write spans recorded")
+	if bw := snap.Histograms["sim.P2.bb_write_seconds"]; bw.Count == 0 || int(bw.Count) != checkpoints {
+		t.Fatalf("bb_write_seconds count %d != %d checkpoints", int(bw.Count), checkpoints)
 	}
 	if g, ok := snap.Gauges["sim.P2.drain_queue_depth"]; !ok || g.Max < 1 {
 		t.Fatalf("drain queue depth gauge missing or flat: %+v", g)
@@ -232,8 +231,7 @@ func TestRunTierCacheKeysDistinct(t *testing.T) {
 	calls := map[string]int{}
 	mk := func(name string, wall float64) Tier {
 		return Tier{
-			Name:     name,
-			Supports: func(policy.ID) bool { return true },
+			Name: name,
 			Simulate: func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
 				calls[name]++
 				return stats.RunResult{WallSeconds: wall}
@@ -257,40 +255,12 @@ func TestRunTierCacheKeysDistinct(t *testing.T) {
 	}
 }
 
-// TestTierRegistry pins the registry shape consumers rely on: the
-// reference tier leads, names are unique, and TierByName round-trips
-// every entry.
+// TestTierRegistry pins the names of the two tiers: they label crossval
+// rows and value keys and namespace the result cache, so they must stay
+// fixed and distinct.
 func TestTierRegistry(t *testing.T) {
-	ts := Tiers()
-	if len(ts) != 3 || ts[0].Name != "app" {
-		t.Fatalf("Tiers() = %v, want app-led registry of 3", TierNames())
-	}
-	seen := map[string]bool{}
-	for _, tr := range ts {
-		if seen[tr.Name] {
-			t.Fatalf("duplicate tier name %q", tr.Name)
-		}
-		seen[tr.Name] = true
-		got, ok := TierByName(tr.Name)
-		if !ok || got.Name != tr.Name {
-			t.Fatalf("TierByName(%q) = (%v, %t)", tr.Name, got.Name, ok)
-		}
-	}
-	if _, ok := TierByName("bogus"); ok {
-		t.Fatal("TierByName resolved an unknown name")
-	}
-	want := map[string][]bool{
-		// per policy.All() order: B, M1, M2, P1, P2
-		"app":  {true, true, true, true, true},
-		"node": {true, false, false, true, true},
-		"step": {true, true, true, true, true},
-	}
-	for _, tr := range ts {
-		for i, id := range policy.All() {
-			if got := tr.Supports(id); got != want[tr.Name][i] {
-				t.Errorf("%s.Supports(%v) = %t, want %t", tr.Name, id, got, want[tr.Name][i])
-			}
-		}
+	if app, step := AppTier().Name, StepTier().Name; app != "app" || step != "step" {
+		t.Fatalf("tier names = %q, %q; want \"app\", \"step\"", app, step)
 	}
 }
 

@@ -5,8 +5,8 @@ import "pckpt/internal/iomodel"
 // EpisodePricing is the one place the p-ckpt episode's two transfer
 // prices are derived, shared by every implementation of the protocol —
 // the process-per-node episode in this package, the app tier's closed
-// form (internal/crmodel), the node tier (internal/nodesim), and the
-// step tier's continuation chain (internal/stepsim). Centralising the
+// form (internal/crmodel), and the step tier's continuation chain
+// (internal/stepsim). Centralising the
 // derivation keeps the float operations identical across tiers, which
 // the bit-identity cross-validation depends on: a tier that priced
 // phase 2 with its own arithmetic could agree statistically yet diverge

@@ -6,7 +6,6 @@ import (
 	"pckpt/internal/crmodel"
 	"pckpt/internal/failure"
 	"pckpt/internal/iomodel"
-	"pckpt/internal/nodesim"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
 	"pckpt/internal/stepsim"
@@ -62,26 +61,18 @@ func TestDerivedParity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			want := tc.cfg.Derive()
 			appDerived := crmodel.Config{Model: crmodel.ModelP2, Config: tc.cfg}.Derive()
-			nodeDerived := nodesim.Config{Policy: nodesim.PolicyHybrid, Config: tc.cfg}.Derive()
 			stepDerived := stepsim.Config{Model: policy.M2, Config: tc.cfg}.Derive()
 			if appDerived != want {
 				t.Errorf("crmodel derivation diverges:\napp  %+v\nwant %+v", appDerived, want)
 			}
-			if nodeDerived != want {
-				t.Errorf("nodesim derivation diverges:\nnode %+v\nwant %+v", nodeDerived, want)
-			}
 			if stepDerived != want {
 				t.Errorf("stepsim derivation diverges:\nstep %+v\nwant %+v", stepDerived, want)
 			}
-			// σ(LM) parity for the hybrid entry both tiers run: the tiers
+			// σ(LM) parity for the LM entries: the tiers
 			// must price migration mitigation off the same sigma, and it
 			// must be the platform package's number, not a local recompute.
 			appSigma := crmodel.Config{Model: crmodel.ModelP2, Config: tc.cfg}.Sigma()
-			nodeSigma := nodesim.Config{Policy: nodesim.PolicyHybrid, Config: tc.cfg}.Sigma()
 			stepSigma := stepsim.Config{Model: policy.M2, Config: tc.cfg}.Sigma()
-			if appSigma != nodeSigma {
-				t.Errorf("sigma diverges: app %v vs node %v", appSigma, nodeSigma)
-			}
 			if stepSigma != appSigma {
 				t.Errorf("sigma diverges: step %v vs app %v", stepSigma, appSigma)
 			}
@@ -91,9 +82,6 @@ func TestDerivedParity(t *testing.T) {
 			// Non-LM entries must gate sigma to zero in every tier.
 			if s := (crmodel.Config{Model: crmodel.ModelP1, Config: tc.cfg}).Sigma(); s != 0 {
 				t.Errorf("P1 sigma %v, want 0 (no live migration)", s)
-			}
-			if s := (nodesim.Config{Policy: nodesim.PolicyPckpt, Config: tc.cfg}).Sigma(); s != 0 {
-				t.Errorf("p-ckpt policy sigma %v, want 0 (no live migration)", s)
 			}
 			if s := (stepsim.Config{Model: policy.M1, Config: tc.cfg}).Sigma(); s != 0 {
 				t.Errorf("step M1 sigma %v, want 0 (no live migration)", s)

@@ -1,11 +1,11 @@
 // Package platform computes the paper's platform quantities — Eq. (2)'s
 // σ, the LM threshold θ, BB/PFS write times, the asynchronous drain
 // duration, and the two recovery paths — exactly once, from one unified
-// configuration. Both simulation tiers (internal/crmodel at application
-// granularity, internal/nodesim at node granularity) embed Config and
-// consume Derived, so the quantities cannot drift between tiers: a
-// matched pair of configurations yields byte-identical numbers by
-// construction.
+// configuration. Both simulation tiers (internal/crmodel, the
+// application-level reference, and internal/stepsim, the step engine)
+// embed Config and consume Derived, so the quantities cannot drift
+// between tiers: a matched pair of configurations yields byte-identical
+// numbers by construction.
 package platform
 
 import (

@@ -1,13 +1,13 @@
 // Package policy is the single source of truth for the paper's C/R model
 // catalogue (B, M1, M2, P1, P2) and the proactive strategy each model
-// applies. Both simulation tiers — the application-level model in
-// internal/crmodel and the node-granular simulator in internal/nodesim —
-// consume this package, so a model's identity, labels, capabilities, and
+// applies. Both simulation tiers — the application-level reference model
+// in internal/crmodel and the step engine in internal/stepsim — consume
+// this package, so a model's identity, labels, capabilities, and
 // prediction-time decisions exist exactly once.
 //
 // The package has four parts:
 //
-//   - ID: the catalogue (names, labels, capability predicates, parsing);
+//   - ID: the catalogue (names, capability predicates, parsing);
 //   - Policy: the strategy interface with prediction/failure hooks, with
 //     one implementation per model (For);
 //   - State: the shared C/R lifecycle state machine (fail-epoch voiding,
@@ -55,23 +55,6 @@ func (id ID) String() string {
 		return "P2"
 	default:
 		return fmt.Sprintf("Model(%d)", uint8(id))
-	}
-}
-
-// NodeLabel returns the label the node-granular tier uses for the models
-// it implements ("base", "p-ckpt", "hybrid"), or "" for models outside
-// that tier's subset. Metrics series and table rows of internal/nodesim
-// key on these labels.
-func (id ID) NodeLabel() string {
-	switch id {
-	case B:
-		return "base"
-	case P1:
-		return "p-ckpt"
-	case P2:
-		return "hybrid"
-	default:
-		return ""
 	}
 }
 

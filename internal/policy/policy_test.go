@@ -29,12 +29,6 @@ func TestCatalogue(t *testing.T) {
 	if ID(9).Valid() {
 		t.Error("out-of-range ID reported Valid")
 	}
-	labels := map[ID]string{B: "base", M1: "", M2: "", P1: "p-ckpt", P2: "hybrid"}
-	for id, want := range labels {
-		if id.NodeLabel() != want {
-			t.Errorf("%v.NodeLabel() = %q, want %q", id, id.NodeLabel(), want)
-		}
-	}
 }
 
 func TestCapabilityPredicates(t *testing.T) {

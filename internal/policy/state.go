@@ -28,9 +28,8 @@ type Migration struct {
 }
 
 // Episode is a live p-ckpt episode: the lead-time priority queue of
-// vulnerable nodes (used by the application-level tier; the node tier
-// realises the ordering as a priority resource instead), the progress the
-// episode snapshots, and its commit/abandon bookkeeping.
+// vulnerable nodes, the progress the episode snapshots, and its
+// commit/abandon bookkeeping.
 type Episode struct {
 	Q             queue.PQ[failure.Event]
 	StartProgress float64

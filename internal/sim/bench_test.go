@@ -27,7 +27,7 @@ func BenchmarkWaitHotPath(b *testing.B) {
 
 // BenchmarkTriggerPingPong measures the broadcast-event path: a waiter and
 // a trigger process handing an event back and forth (WaitEvent + Trigger +
-// Reset per round), the shape of nodesim's post/ready handshake.
+// Reset per round), the shape of a coordinator's post/ready handshake.
 func BenchmarkTriggerPingPong(b *testing.B) {
 	b.ReportAllocs()
 	env := NewEnv()

@@ -23,7 +23,7 @@ import (
 // p-ckpt episode machinery (P1/P2) runs here as a continuation chain,
 // bit-identical to the app tier's process form.
 type Config struct {
-	// Model is the C/R policy to simulate. Must satisfy Supports.
+	// Model is the C/R policy to simulate: any catalogue entry.
 	Model policy.ID
 	// Config is the tier-independent platform; its fields are promoted.
 	platform.Config
@@ -35,10 +35,6 @@ type Config struct {
 	// state — never share one across concurrent runs.
 	Metrics *metrics.Registry
 }
-
-// Supports reports whether the step tier implements the catalogue
-// entry: the full catalogue (B, M1, M2, P1, P2).
-func Supports(id policy.ID) bool { return id.Valid() }
 
 // withDefaults returns a copy with zero platform fields defaulted.
 func (c Config) withDefaults() Config {

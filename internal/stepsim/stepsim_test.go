@@ -139,8 +139,7 @@ func TestSpareExhaustionBitIdentity(t *testing.T) {
 // residual short of ComputeSeconds — simulated time can no longer
 // resolve the remaining wait, so progress froze while the run looped
 // compute-0s/checkpoint forever until the engine watchdog fired. The
-// compute loop now snaps residuals below a microsecond (as the
-// node-granular tier always did). This exact (platform, seed) pair spun
+// compute loop now snaps residuals below a microsecond. This exact (platform, seed) pair spun
 // before the fix; it must now terminate, identically on both tiers.
 func TestComputeResidualSnapTermination(t *testing.T) {
 	plat := platform.Config{
@@ -310,19 +309,6 @@ func TestMeteredSnapshotMatchesApp(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestSupports pins the tier's catalogue: the full five-model set since
-// the episode port, and still a hard no on invalid IDs.
-func TestSupports(t *testing.T) {
-	for _, id := range policy.All() {
-		if !stepsim.Supports(id) {
-			t.Errorf("Supports(%v) = false, want true", id)
-		}
-	}
-	if stepsim.Supports(policy.ID(250)) {
-		t.Error("Supports accepted an invalid model ID")
 	}
 }
 
